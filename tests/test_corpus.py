@@ -123,6 +123,16 @@ def test_special_case_random_rational_lambdas():
         assert report.passed, report_as_text(report)
 
 
+def test_special_case_resolves_all_cusps_at_four_minus_four_rho():
+    # the chart eliminant here has 9 double roots with large norms
+    report = run_special_case(4 - 4 * RHO)
+    assert report.passed, report_as_text(report)
+    assert report.computed["singular_locus_complete"] is True
+    points = report.computed["singularities"]
+    assert len(points) == 9
+    assert all(s["ade"] == "A2" for s in points)
+
+
 def test_special_case_rejects_degenerate_lambdas():
     for bad in [1, RHO, RHO * RHO, "rho", "-1 - rho"]:
         with pytest.raises(ValueError):

@@ -1,0 +1,141 @@
+"""Root finding over Q(rho) on the inputs that matter: the degree-18 chart
+eliminants of the 9-cuspidal sextic, random products of linear factors,
+and an independent check against sympy's factorisation over Q(sqrt(-3)).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from plucker_lab import curve
+from plucker_lab.curve import PlaneCurve, singular_locus
+from plucker_lab.polynomials import bl2_sextic, parse_scalar
+from plucker_lab.scalars import (
+    ONE,
+    RHO,
+    ZERO,
+    EisensteinScalar,
+    LambdaPoly,
+    lambda_roots,
+)
+
+# monic cofactors without a root in Q(rho)
+ROOT_FREE = (
+    LambdaPoly([1]),
+    LambdaPoly([-2, 0, 1]),
+    LambdaPoly([-2, 0, 0, 1]),
+    LambdaPoly([1, 0, 0, 0, 1]),
+    LambdaPoly([-1, -1, 0, 0, 0, 1]),
+)
+
+
+def sextic_eliminant(lam: str) -> LambdaPoly:
+    """The largest univariate polynomial the singular-locus solver hands to
+    lambda_roots for the family sextic at lam (degree 18: 9 double roots)."""
+    seen = []
+
+    def record(p):
+        seen.append(p)
+        return lambda_roots(p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "lambda_roots", record)
+        sextic = bl2_sextic().specialize_lambda(parse_scalar(lam))
+        singular_locus(PlaneCurve(sextic))
+    return max(seen, key=lambda p: p.degree)
+
+
+def product(roots: dict, cofactor: LambdaPoly, scale) -> LambdaPoly:
+    p = cofactor.scale(scale)
+    for root, mult in roots.items():
+        p = p * LambdaPoly([-root, ONE]) ** mult
+    return p
+
+
+def test_eliminant_at_minus_two_plus_two_rho():
+    elim = sextic_eliminant("-2 + 2*rho")
+    assert elim.degree == 18
+    r = lambda_roots(elim)
+    assert r.complete and r.unresolved == ()
+    assert [m for _, m in r.roots] == [2] * 9
+    assert all(not elim.evaluate(x) for x in r.values)
+
+
+_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+_scalars = st.one_of(
+    st.sampled_from([ZERO, ONE, RHO, RHO * RHO]),
+    st.builds(EisensteinScalar, _fractions, _fractions),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.dictionaries(_scalars, st.integers(1, 3), max_size=5),
+    cofactor=st.sampled_from(ROOT_FREE),
+    scale=_scalars.filter(bool),
+)
+def test_lambda_roots_recovers_products(roots, cofactor, scale):
+    p = product(roots, cofactor, scale)
+    r = lambda_roots(p)
+    assert dict(r.roots) == roots
+    assert len(r.roots) == len(roots)
+    if cofactor.degree >= 3:
+        assert r.unresolved == (cofactor,) and not r.complete
+    else:
+        assert r.unresolved == () and r.complete
+
+
+# ---------------------------------------------------------------------------
+# differential check against sympy
+
+
+def sympy_linear_factors(p: LambdaPoly) -> dict:
+    """{root: multiplicity} from sympy's factor_list over Q(sqrt(-3))."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sqrt_m3 = sympy.sqrt(-3)
+    rho = (sqrt_m3 - 1) / 2
+    expr = sum(
+        (sympy.Rational(c.an, c.den) + sympy.Rational(c.bn, c.den) * rho)
+        * x**k
+        for k, c in enumerate(p.coeffs)
+    )
+    _, factors = sympy.factor_list(sympy.expand(expr), x, extension=sqrt_m3)
+    out = {}
+    for f, mult in factors:
+        poly = sympy.Poly(f, x)
+        if poly.degree() != 1:
+            continue
+        c1, c0 = poly.all_coeffs()
+        root = sympy.expand(-c0 / c1)
+        # root = u + v*sqrt(-3) = (u + v) + 2v*rho
+        u = Fraction(str(sympy.re(root)))
+        v = Fraction(str(sympy.simplify(sympy.im(root) / sympy.sqrt(3))))
+        out[EisensteinScalar(u + v, 2 * v)] = mult
+    return out
+
+
+@pytest.mark.parametrize("lam", ["-4/3", "9/7", "4 - 4*rho"])
+def test_eliminant_roots_match_sympy(lam):
+    elim = sextic_eliminant(lam)
+    want = sympy_linear_factors(elim)
+    assert len(want) == 9
+    assert dict(lambda_roots(elim).roots) == want
+
+
+def test_random_products_match_sympy():
+    rng = random.Random(3)
+
+    def scalar():
+        return EisensteinScalar(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+        )
+
+    for _ in range(4):
+        roots = {scalar(): rng.randint(1, 3) for _ in range(rng.randint(1, 4))}
+        p = product(roots, rng.choice(ROOT_FREE), scalar() or ONE)
+        r = lambda_roots(p)
+        assert dict(r.roots) == sympy_linear_factors(p) == roots

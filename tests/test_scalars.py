@@ -8,7 +8,6 @@ from plucker_lab.scalars import (
     RHO,
     ZERO,
     EisensteinScalar,
-    FactorizationBudget,
     LambdaPoly,
     eis_invert,
     eis_norm,
@@ -290,8 +289,3 @@ def test_lambda_roots_quadratic_eisenstein_pair():
     r = lambda_roots(p)
     assert r.complete
     assert set(list(r.values)) == {RHO, ONE + RHO}
-
-
-def test_factorization_budget_is_raisable():
-    with pytest.raises(FactorizationBudget):
-        raise FactorizationBudget("synthetic")
