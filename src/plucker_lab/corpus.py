@@ -8,6 +8,7 @@ the main scenario reproduces the degree-18 branch curve arithmetic.  Every
 check cites the acceptance criterion it implements.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -130,13 +131,39 @@ def _coerce_lambda(value) -> EisensteinScalar:
 _EXCLUDED_LAMBDAS = (ONE, RHO, RHO * RHO)
 
 
+@functools.cache
+def _family_obstructions():
+    """The sextic family's order-3 orbit obstructions, which do not depend
+    on lambda, computed once per process: a (representative text,
+    obstruction, obstruction text) triple per orbit, the sorted texts of
+    the exceptional lambdas, and the count of unresolved factors."""
+    obstructions = curve_orbit_obstruction(bl2_sextic(), use_quadratic_map=True)
+    rows = []
+    exceptional = set()
+    unresolved = 0
+    for rep in ORDER3_ORBIT_REPRESENTATIVES:
+        ob = obstructions[rep]
+        rows.append((str(rep), ob, render_lambda_poly(ob)))
+        if ob.is_zero():
+            continue
+        search = lambda_roots(ob)
+        exceptional.update(r for r, _ in search.roots)
+        unresolved += len(search.unresolved)
+    texts = sorted(
+        (str(r) for r in exceptional),
+        key=lambda s: scalar_sort_key(parse_scalar(s)),
+    )
+    return tuple(rows), tuple(texts), unresolved
+
+
 def run_special_case(lambda_value, analyze_singular_locus: bool = True) -> ScenarioReport:
     """Sextic-family scenario at one admissible parameter value.
 
-    Runs the order-3 orbit obstruction over the whole family, specializes
-    the sextic at lambda_value and classifies its singular locus, then
-    cross-checks the numbers: (d, nu, kappa) = (6, 0, 9) gives class 3 and
-    genus 1, and the pencil count 18 matches 3*3 + 9*1.
+    Reads the family's order-3 orbit obstructions (computed once per
+    process), specializes the sextic at lambda_value and classifies its
+    singular locus, then cross-checks the numbers: (d, nu, kappa) =
+    (6, 0, 9) gives class 3 and genus 1, and the pencil count 18 matches
+    3*3 + 9*1.
     """
     lam = _coerce_lambda(lambda_value)
     if any(lam == bad for bad in _EXCLUDED_LAMBDAS):
@@ -146,31 +173,16 @@ def run_special_case(lambda_value, analyze_singular_locus: bool = True) -> Scena
         )
     report = ScenarioReport("special-case", inputs={"lambda": str(lam)})
 
-    family = bl2_sextic()
-    obstructions = curve_orbit_obstruction(family, use_quadratic_map=True)
-    obs_out = {}
-    exceptional = set()
-    unresolved = 0
-    for rep in ORDER3_ORBIT_REPRESENTATIVES:
-        ob = obstructions[rep]
-        obs_out[str(rep)] = render_lambda_poly(ob)
-        if ob.is_zero():
-            continue
-        search = lambda_roots(ob)
-        exceptional.update(r for r, _ in search.roots)
-        unresolved += len(search.unresolved)
-    report.computed["obstructions"] = obs_out
-    report.computed["exceptional_lambdas"] = sorted(
-        (str(r) for r in exceptional),
-        key=lambda s: scalar_sort_key(parse_scalar(s)),
-    )
+    obstructions, exceptional, unresolved = _family_obstructions()
+    report.computed["obstructions"] = {rep: text for rep, _, text in obstructions}
+    report.computed["exceptional_lambdas"] = list(exceptional)
     report.check(
         "orbit-obstructions-nonzero",
         "acceptance 6",
-        all(not obstructions[rep].is_zero() for rep in ORDER3_ORBIT_REPRESENTATIVES),
+        all(not ob.is_zero() for _, ob, _ in obstructions),
         "each order-3 orbit carries a nonzero lambda obstruction",
     )
-    at_lam = [obstructions[rep].evaluate(lam) for rep in ORDER3_ORBIT_REPRESENTATIVES]
+    at_lam = [ob.evaluate(lam) for _, ob, _ in obstructions]
     report.check(
         "orbits-excluded-at-lambda",
         "acceptance 6",
@@ -183,7 +195,7 @@ def run_special_case(lambda_value, analyze_singular_locus: bool = True) -> Scena
             % unresolved
         )
 
-    sextic = PlaneCurve(family.specialize_lambda(lam))
+    sextic = PlaneCurve(bl2_sextic().specialize_lambda(lam))
     report.computed["sextic"] = render_poly(sextic.equation)
     report.computed["sextic_degree"] = sextic.degree
 

@@ -590,13 +590,6 @@ def _conic_dual(c: PlaneCurve, out_vars) -> MultiPoly:
         return v if i == j else v / 2
 
     m = [[coeff(i, j) for j in range(3)] for i in range(3)]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if not det:
-        raise EliminationError("degenerate conic (rank < 3) has no dual conic")
     adj = [[ZERO] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -624,12 +617,19 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     by gcd-combining the surviving eliminants, dividing out the dual
     lines of singular points, and taking the squarefree part.  When the
     singularities are fully classified the output degree is checked
-    against the predicted class.
+    against the predicted class.  A curve whose Hessian vanishes
+    identically (a rank-2 conic, concurrent lines) raises
+    DegenerateHessianError before any elimination.
     """
     d = c.degree
     if d < 2 or d > 4:
         raise UnsupportedDegreeError(
             "dual_curve supports degrees 2..4, got %d" % d
+        )
+    if hessian(c).is_zero():
+        raise DegenerateHessianError(
+            "identically-zero Hessian: the curve is a union of concurrent "
+            "lines and has no dual curve"
         )
     out_vars = U_VARS if c.vars != U_VARS else X_VARS
     records, locus = classified_singularities(c)

@@ -12,6 +12,7 @@ coordinate map.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -615,22 +616,21 @@ def substitute(p: MultiPoly, images) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # Resultants
 
+def _sylvester_rows(pc, qc, zero):
+    """Sylvester matrix from coefficient lists, leading coefficient first."""
+    dp, dq = len(pc) - 1, len(qc) - 1
+    rows = [[zero] * i + pc + [zero] * (dq - 1 - i) for i in range(dq)]
+    rows += [[zero] * i + qc + [zero] * (dp - 1 - i) for i in range(dp)]
+    assert all(len(r) == dp + dq for r in rows)
+    return rows
+
+
 def _sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str):
-    dp = p.degree_in(var)
-    dq = q.degree_in(var)
     pc = p.coefficients_in(var)
     qc = q.coefficients_in(var)
     pc.reverse()  # leading first
     qc.reverse()
-    n = dp + dq
-    zero = MultiPoly.zero(p.vars)
-    rows = []
-    for i in range(dq):
-        rows.append([zero] * i + pc + [zero] * (dq - 1 - i))
-    for i in range(dp):
-        rows.append([zero] * i + qc + [zero] * (dp - 1 - i))
-    assert all(len(r) == n for r in rows)
-    return rows
+    return _sylvester_rows(pc, qc, MultiPoly.zero(p.vars))
 
 
 def bareiss_determinant(mat, variables) -> MultiPoly:
@@ -667,13 +667,146 @@ def bareiss_determinant(mat, variables) -> MultiPoly:
     return -det if sign < 0 else det
 
 
+# Integer kernel.  An element of Z[rho] is an (a, b) pair of ints meaning
+# a + b*rho; a polynomial over Z[rho] in one variable is a list of such
+# pairs, lowest degree first, with no trailing (0, 0) ([] is zero).
+
+
+def _zr_cross(x, pivot, lead, y):
+    """x*pivot - lead*y over Z[rho]."""
+    n = max(len(x) + len(pivot), len(lead) + len(y), 1) - 1
+    out_a = [0] * n
+    out_b = [0] * n
+    for p, q, neg in ((x, pivot, False), (lead, y, True)):
+        for i, (a1, b1) in enumerate(p):
+            if not (a1 or b1):
+                continue
+            if neg:
+                a1, b1 = -a1, -b1
+            for j, (a2, b2) in enumerate(q, i):
+                # (a1 + b1 rho)(a2 + b2 rho) with rho^2 = -1 - rho
+                bb = b1 * b2
+                out_a[j] += a1 * a2 - bb
+                out_b[j] += a1 * b2 + b1 * a2 - bb
+    out = list(zip(out_a, out_b))
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _zr_exact_div(p, d):
+    """p / d over Z[rho]; raises ArithmeticError on a nonzero remainder.
+
+    Each quotient coefficient is the remainder's leading coefficient times
+    the conjugate of d's, divided by the norm of d's leading coefficient."""
+    if not p:
+        return []
+    top = len(d) - 1
+    c, e = d[-1]
+    ca, cb = c - e, -e  # conjugate: rho -> rho^2 = -1 - rho
+    norm = c * c - c * e + e * e
+    rem_a = [a for a, _ in p]
+    rem_b = [b for _, b in p]
+    quot = [(0, 0)] * max(len(p) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        a, b = rem_a[k + top], rem_b[k + top]
+        if not (a or b):
+            continue
+        bb = b * cb
+        qa, ra = divmod(a * ca - bb, norm)
+        qb, rb = divmod(a * cb + b * ca - bb, norm)
+        if ra or rb:
+            break
+        quot[k] = (qa, qb)
+        for i, (da, db) in enumerate(d, k):
+            bb = qb * db
+            rem_a[i] -= qa * da - bb
+            rem_b[i] -= qa * db + qb * da - bb
+    if not quot or any(rem_a) or any(rem_b):
+        raise ArithmeticError("inexact division in the Z[rho] resultant kernel")
+    return quot
+
+
+def _zr_coefficients(p: MultiPoly, i: int, j):
+    """Coefficients of p in variable i, leading first, each a Z[rho]
+    polynomial in variable j (None: no other live variable), after
+    multiplying p by the lcm of its scalar denominators; returns the
+    coefficients and that lcm."""
+    den = math.lcm(*(c.coeffs[0].den for c in p.terms.values()))
+    rows = [[] for _ in range(p.degree_in(p.vars[i]) + 1)]
+    for exp, c in p.terms.items():
+        s = c.coeffs[0]
+        row = rows[exp[i]]
+        at = 0 if j is None else exp[j]
+        row.extend([(0, 0)] * (at + 1 - len(row)))
+        row[at] = (s.an * (den // s.den), s.bn * (den // s.den))
+    rows.reverse()
+    return rows, den
+
+
+def _zr_bareiss(mat):
+    """Determinant of a square matrix of Z[rho] polynomials, by the same
+    fraction-free recurrence as bareiss_determinant."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = [(1, 0)]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot, row_k = m[k][k], m[k]
+        for row_i in m[k + 1 :]:
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                num = _zr_cross(row_i[j], pivot, lead, row_k[j])
+                row_i[j] = _zr_exact_div(num, prev)
+            row_i[k] = []
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return [(-a, -b) for a, b in det] if sign < 0 else det
+
+
+def _chart_resultant(p: MultiPoly, q: MultiPoly, i: int, j) -> MultiPoly:
+    """Resultant in variable i of lambda-free p and q whose only other
+    live variable is j (or none), computed over Z[rho] and scaled back by
+    D_p^-deg(q) * D_q^-deg(p) for the cleared denominators D_p, D_q."""
+    pc, p_den = _zr_coefficients(p, i, j)
+    qc, q_den = _zr_coefficients(q, i, j)
+    det = _zr_bareiss(_sylvester_rows(pc, qc, []))
+    scale = p_den ** (len(qc) - 1) * q_den ** (len(pc) - 1)
+    zero = (0,) * len(p.vars)
+    terms = {}
+    for e, (a, b) in enumerate(det):
+        if a or b:
+            exp = zero if j is None else zero[:j] + (e,) + zero[j + 1 :]
+            terms[exp] = LambdaPoly._raw((EisensteinScalar._raw(a, b, scale),))
+    return MultiPoly._raw(p.vars, terms)
+
+
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant eliminating var; the result is var-free."""
+    """Sylvester resultant eliminating var; the result is var-free.
+
+    Lambda-free inputs with at most one live variable besides var (every
+    chart elimination of a curve) take an integer kernel over Z[rho];
+    all others take bareiss_determinant on the MultiPoly Sylvester
+    matrix."""
     p._check_same_vars(q)
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
     if p.degree_in(var) < 1 or q.degree_in(var) < 1:
         raise ValueError("resultant needs positive degree in %r" % var)
+    i = p._var_index(var)
+    others = {
+        k for f in (p, q) for e in f.terms for k, n in enumerate(e) if n and k != i
+    }
+    if len(others) <= 1 and p.lambda_free() and q.lambda_free():
+        return _chart_resultant(p, q, i, others.pop() if others else None)
     return bareiss_determinant(_sylvester_matrix(p, q, var), p.vars)
 
 

@@ -41,13 +41,17 @@ class EisensteinScalar:
 
     @classmethod
     def _raw(cls, an: int, bn: int, den: int) -> "EisensteinScalar":
-        if den < 0:
-            an, bn, den = -an, -bn, -den
-        g = math.gcd(math.gcd(an, bn), den)
+        # den == 1 is already the normal form
+        if den != 1:
+            if den < 0:
+                an, bn, den = -an, -bn, -den
+            g = math.gcd(an, bn, den)
+            if g != 1:
+                an, bn, den = an // g, bn // g, den // g
         self = object.__new__(cls)
-        object.__setattr__(self, "an", an // g)
-        object.__setattr__(self, "bn", bn // g)
-        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "an", an)
+        object.__setattr__(self, "bn", bn)
+        object.__setattr__(self, "den", den)
         return self
 
     @classmethod

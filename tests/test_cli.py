@@ -80,6 +80,12 @@ def test_curve_dual(capsys):
     assert "u0" in data["equation"]
 
 
+def test_curve_dual_of_concurrent_lines_exits_2(capsys):
+    code, _, err = run(capsys, ["curve", "dual", "x0^3 - x1^3"])
+    assert code == 2
+    assert "Hessian" in err
+
+
 def test_curve_flexes(capsys):
     code, out, _ = run(capsys, ["curve", "flexes", "x0^3 + x1^3 + x2^3"])
     assert code == 0

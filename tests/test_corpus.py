@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from plucker_lab import corpus
 from plucker_lab.scalars import RHO
 from plucker_lab.polynomials import parse_scalar
 from plucker_lab.corpus import (
@@ -97,6 +98,33 @@ def test_special_case_matches_golden():
     got = report_as_json(run_special_case(2)) + "\n"
     want = (GOLDEN / "special_case_lambda2.json").read_text()
     assert got == want
+
+
+def test_orbit_obstruction_runs_once_per_process(monkeypatch):
+    calls = []
+    real = corpus.curve_orbit_obstruction
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "curve_orbit_obstruction", counting)
+    corpus._family_obstructions.cache_clear()
+    reports = [
+        run_special_case(lam, analyze_singular_locus=False)
+        for lam in (3, Fraction(1, 2), "2 + rho")
+    ]
+    assert len(calls) == 1
+    assert all(r.passed for r in reports)
+    # reports share nothing mutable with the cached computation
+    mangled = reports[-1].computed
+    rep = next(iter(mangled["obstructions"]))
+    mangled["obstructions"][rep] = "0"
+    mangled["exceptional_lambdas"].append("7")
+    mangled["exceptional_lambdas"].reverse()
+    got = report_as_json(run_special_case(2)) + "\n"
+    assert got == (GOLDEN / "special_case_lambda2.json").read_text()
+    assert len(calls) == 1
 
 
 def test_special_case_is_deterministic():

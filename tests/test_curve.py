@@ -15,6 +15,7 @@ from plucker_lab.curve import (
     KIND_NODE,
     KIND_ORDINARY,
     KIND_TACNODE,
+    DegenerateHessianError,
     LambdaSymbolicError,
     NonsingularPointError,
     NotOnCurveError,
@@ -232,6 +233,18 @@ def test_dual_tacnodal_quartic():
 def test_dual_unsupported_degree():
     with pytest.raises(UnsupportedDegreeError):
         dual_curve(_curve("x0^5 + x1^5 + x2^5"))
+
+
+def test_dual_rejects_identically_zero_hessian():
+    # the Fermat cubic under the singular matrix [[1,1,0],[0,1,-1],[1,0,1]]
+    # is three lines through (1:-1:-1)
+    image = _curve("(x0 + x1)^3 + (x1 - x2)^3 + (x0 + x2)^3")
+    triple = classify_singularity(image, ProjectivePoint([1, -1, -1]))
+    assert (triple.kind, triple.multiplicity) == (KIND_ORDINARY, 3)
+    for c in (image, _curve("x0^3 - x1^3"), _curve("x0^2 - x1^2")):
+        assert hessian(c).is_zero()
+        with pytest.raises(DegenerateHessianError):
+            dual_curve(c)
 
 
 def test_expected_class():

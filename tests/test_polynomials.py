@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plucker_lab import curve, polynomials
+from plucker_lab.curve import PlaneCurve, singular_locus
 from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar, LambdaPoly
 from plucker_lab.polynomials import (
     SEXTIC_NOTE,
@@ -11,6 +14,7 @@ from plucker_lab.polynomials import (
     Y_VARS,
     MultiPoly,
     PolyParseError,
+    _sylvester_matrix,
     bareiss_determinant,
     bl2_sextic,
     discriminant,
@@ -278,6 +282,136 @@ def test_bareiss_handles_zero_pivot():
     # a zero column means determinant zero
     det0 = bareiss_determinant([[z, one], [z, two]], v)
     assert det0.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Z[rho] kernel for chart resultants, against the MultiPoly reference
+# and against sympy
+
+
+def reference_resultant(p, q, var):
+    return bareiss_determinant(_sylvester_matrix(p, q, var), p.vars)
+
+
+def test_chart_inputs_take_the_integer_kernel(monkeypatch):
+    seen = []
+    real = polynomials.bareiss_determinant
+
+    def record(mat, variables):
+        seen.append(len(mat))
+        return real(mat, variables)
+
+    monkeypatch.setattr(polynomials, "bareiss_determinant", record)
+    chart = parse_poly("x1^2*x2^2 - 3/2*x1 + rho*x2", X_VARS)
+    line = parse_poly("x2 - x1 + 1", X_VARS)
+    resultant(chart, line, "x2")
+    resultant(parse_poly("x2^3 - 2", X_VARS), line.specialize("x1", 1), "x2")
+    assert seen == []
+    # lambda, or a second live variable besides x2, keeps the MultiPoly path
+    resultant(parse_poly("x2^2 - lambda*x1", X_VARS), line, "x2")
+    resultant(parse_poly("x2^2 - x0*x1", X_VARS), line, "x2")
+    assert seen == [3, 3]
+
+
+# (exponent of x1, exponent of x2) -> coefficient; x0 stays absent, as in a
+# chart x0 = 1
+_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+_coeffs = st.builds(EisensteinScalar, _fractions, _fractions).filter(bool)
+
+
+def _chart_polys(max_x1=2, max_x2=3):
+    exps = st.tuples(st.integers(0, max_x1), st.integers(0, max_x2))
+    return st.dictionaries(exps, _coeffs, min_size=1, max_size=5).map(
+        lambda t: MultiPoly(X_VARS, {(0, a, b): c for (a, b), c in t.items()})
+    ).filter(lambda p: p.degree_in("x2") >= 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_chart_polys(), q=_chart_polys())
+def test_kernel_matches_reference(p, q):
+    assert resultant(p, q, "x2") == reference_resultant(p, q, "x2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_chart_polys(max_x1=0), q=_chart_polys(max_x1=0, max_x2=1))
+def test_kernel_matches_reference_single_variable_degree_one(p, q):
+    r = resultant(p, q, "x2")
+    assert r.is_constant()
+    assert r == reference_resultant(p, q, "x2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=_chart_polys(max_x2=2), g=_chart_polys(), h=_chart_polys())
+def test_kernel_common_factor_gives_zero(f, g, h):
+    assert resultant(f * g, f * h, "x2").is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_chart_polys(), q=_chart_polys(), c=_coeffs)
+def test_kernel_scales_by_power_of_constant(p, q, c):
+    lhs = resultant(p.scale(c), q, "x2")
+    assert lhs == resultant(p, q, "x2").scale(c ** q.degree_in("x2"))
+    assert lhs == reference_resultant(p.scale(c), q, "x2")
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # Sylvester rows (1, 1, c) and (1, 1, 0): the second pivot is zero
+        ("x2^2 + x2 + x1", "x2 + 1"),
+        ("(2 + rho)*x2^2 + (2 + rho)*x1*x2 - 1/3", "x2 + x1"),
+        ("x1*x2^3 + x1^2*x2^2 + 7", "x2 + x1"),
+    ],
+)
+def test_kernel_zero_pivot_swaps_rows(p, q):
+    p, q = parse_poly(p, X_VARS), parse_poly(q, X_VARS)
+    mat = _sylvester_matrix(p, q, "x2")
+    minor = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    assert minor.is_zero()  # bareiss has to swap in a later row
+    assert not resultant(p, q, "x2").is_zero()
+    assert resultant(p, q, "x2") == reference_resultant(p, q, "x2")
+
+
+def chart_eliminations(lam: str):
+    """The (p, q, var) triples the singular-locus solver hands to
+    resultant for the family sextic at lam."""
+    seen = []
+
+    def record(p, q, var):
+        seen.append((p, q, var))
+        return resultant(p, q, var)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "resultant", record)
+        singular_locus(PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar(lam))))
+    return seen
+
+
+def to_sympy(p: MultiPoly, sympy, gens):
+    """p as a sympy Poly in gens over Q(sqrt(-3)), with rho mapped to
+    (-1 + sqrt(-3))/2."""
+    field = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+    rho = field.from_sympy((sympy.sqrt(-3) - 1) / 2)
+    order = [p.vars.index(g) for g in gens]
+    terms = {}
+    for exp, c in p.terms.items():
+        s = c.constant_value()
+        a, b = (field.convert(sympy.Rational(n, s.den)) for n in (s.an, s.bn))
+        terms[tuple(exp[i] for i in order)] = a + b * rho
+    return sympy.Poly.from_dict(terms, *sympy.symbols(gens), domain=field)
+
+
+@pytest.mark.parametrize("lam", ["2", "9/7", "-2 + 2*rho"])
+def test_chart_resultants_match_sympy(lam):
+    sympy = pytest.importorskip("sympy")
+    elims = chart_eliminations(lam)
+    assert elims
+    for p, q, var in elims:
+        others = [v for v in p.vars if v != var]
+        gens = [var] + others
+        # Poly.resultant eliminates the first generator
+        want = to_sympy(p, sympy, gens).resultant(to_sympy(q, sympy, gens))
+        assert to_sympy(resultant(p, q, var), sympy, others) == want
 
 
 # ---------------------------------------------------------------------------
