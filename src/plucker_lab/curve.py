@@ -9,6 +9,7 @@ found" from "none found among scalar-resolvable points".
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -355,64 +356,118 @@ def singular_locus(c: PlaneCurve) -> SingularLocus:
 
 # ---------------------------------------------------------------------------
 # Local singularity classification
-
-_AFF = ("s", "t")
-
-
-def _affine_jets(c: PlaneCurve, p: ProjectivePoint):
-    """Expand the equation in affine coordinates centered at p; returns
-    jets[k] = homogeneous degree-k part as a MultiPoly in (s, t)."""
-    coords = p.coords
-    i = next(idx for idx, v in enumerate(coords) if v)
-    others = [j for j in range(3) if j != i]
-    s = MultiPoly.variable(_AFF, "s")
-    t = MultiPoly.variable(_AFF, "t")
-    images = [None, None, None]
-    images[i] = MultiPoly.constant(_AFF, 1)
-    images[others[0]] = s + MultiPoly.constant(_AFF, coords[others[0]])
-    images[others[1]] = t + MultiPoly.constant(_AFF, coords[others[1]])
-    f = c.equation.substitute(images)
-    jets: dict = {}
-    for exp, coeff in f.terms.items():
-        d = sum(exp)
-        jets.setdefault(d, {})[exp] = coeff
-    return {d: MultiPoly._raw(_AFF, t) for d, t in jets.items()}
+#
+# Jets are computed over Z[rho] with plain ints: an element is an (a, b)
+# pair meaning a + b*rho, as in the resultant kernel of polynomials.py, and
+# a binary form of degree n is the list of its coefficients of s^u t^(n-u),
+# u = 0..n.
 
 
-def _coeff_scalar(p: MultiPoly, exp) -> EisensteinScalar:
-    c = p.terms.get(tuple(exp))
-    return c.constant_value() if c is not None else ZERO
+def _zr_mul(x, y):
+    a1, b1 = x
+    a2, b2 = y
+    bb = b1 * b2  # rho^2 = -1 - rho
+    return (a1 * a2 - bb, a1 * b2 + b1 * a2 - bb)
 
 
-def _is_squarefree_binary(j: MultiPoly) -> bool:
-    g = j
-    for v in _AFF:
-        if j.degree_in(v) > 0:
-            g = mv_gcd(g, j.partial_derivative(v))
-    return g.is_constant()
+def _zr_powers(x, n):
+    out = [(1, 0)]
+    for _ in range(n):
+        out.append(_zr_mul(out[-1], x))
+    return out
+
+
+def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
+    """The jets of degree 0..order of the curve at p, over Z[rho].
+
+    Let i be the index of p's first nonzero coordinate and j < k the
+    other two.  Write p = (D : A : B) in the order (i, j, k), with D the
+    lcm of the denominators of p_j and p_k and A, B in Z[rho], and let L
+    be the lcm of the equation's denominators.  jets[n] is the degree-n
+    part of L * F(x_i = D, x_j = A + s, x_k = B + t), expanded by
+    binomials with every term of degree above order dropped.  It equals
+    L * D^(d-n) times the degree-n part of F(x_i = 1, x_j = p_j + s,
+    x_k = p_k + t): the same jets up to one nonzero factor per degree.
+    """
+    i = next(idx for idx, v in enumerate(p.coords) if v)
+    j, k = (idx for idx in range(3) if idx != i)
+    pj, pk = p.coords[j], p.coords[k]
+    den = math.lcm(pj.den, pk.den)
+    d = c.degree
+    # shifts[e][u]: the coefficient C(e, u) * A^(e-u) of s^u in (A + s)^e
+    shifts = []
+    for x in (pj, pk):
+        f = den // x.den
+        pw = _zr_powers((x.an * f, x.bn * f), d)
+        shifts.append([
+            [(math.comb(e, u) * pw[e - u][0], math.comb(e, u) * pw[e - u][1])
+             for u in range(min(e, order) + 1)]
+            for e in range(d + 1)
+        ])
+    shift_s, shift_t = shifts
+    lcm = math.lcm(*(cf.coeffs[0].den for cf in c.equation.terms.values()))
+    out_a = [[0] * (n + 1) for n in range(order + 1)]
+    out_b = [[0] * (n + 1) for n in range(order + 1)]
+    for exp, cf in c.equation.terms.items():
+        sc = cf.coeffs[0]
+        f = lcm // sc.den * den ** exp[i]
+        base = (sc.an * f, sc.bn * f)
+        for u, x in enumerate(shift_s[exp[j]]):
+            x = _zr_mul(base, x)
+            for v, y in enumerate(shift_t[exp[k]][: order - u + 1]):
+                a, b = _zr_mul(x, y)
+                out_a[u + v][u] += a
+                out_b[u + v][u] += b
+    return [list(zip(ra, rb)) for ra, rb in zip(out_a, out_b)]
+
+
+def _zr_form_at(form, v):
+    """The binary form at (s, t) = v, v a pair of Z[rho] elements."""
+    n = len(form) - 1
+    s_pow = _zr_powers(v[0], n)
+    t_pow = _zr_powers(v[1], n)
+    a = b = 0
+    for u, cf in enumerate(form):
+        x, y = _zr_mul(cf, _zr_mul(s_pow[u], t_pow[n - u]))
+        a += x
+        b += y
+    return a, b
+
+
+def _is_squarefree_form(form) -> bool:
+    """Whether the binary form has no repeated linear factor: at t = 1 it
+    is a squarefree polynomial in s, and t divides it at most once (its
+    s-degree is n or n - 1)."""
+    f = LambdaPoly([EisensteinScalar._raw(a, b, 1) for a, b in form])
+    return f.degree >= len(form) - 2 and f.gcd(f.derivative()).is_constant()
 
 
 def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord:
     """Decide node/cusp/tacnode/ordinary-m at p by jet inspection.
 
-    The double-point ladder: a squarefree 2-jet is a node; with a
-    repeated tangent, align the tangent with an axis and look at the
-    weighted jets: a surviving s^3 term is a cusp, otherwise a nonzero
-    square-completed s^4 term is a tacnode; anything deeper is reported
-    unclassified (delta is then a lower bound).
+    Reads the Z[rho] jets of _taylor_jets; every test below is a zero
+    test invariant under their per-degree factors.  An m-fold point with
+    a squarefree m-jet is ordinary (for m = 2 a node: the discriminant
+    of the 2-jet is nonzero).  A double point with a repeated tangent is
+    put in coordinates (s, t) -> s*v + t*w, v along the tangent, where
+    the 2-jet is gamma*t^2: a nonzero s^3 coefficient J3(v) is a cusp,
+    otherwise a nonzero square-completed s^4 coefficient is a tacnode;
+    anything deeper is reported unclassified (delta is then a lower
+    bound), as is an m-fold point with m > 2 and a repeated tangent.
     """
-    jets = _affine_jets(c, p)
-    if 0 in jets:
+    for order in (4, c.degree):  # the second only at multiplicity >= 5
+        jets = _taylor_jets(c, p, order)
+        live = (n for n, jet in enumerate(jets) if any(x != (0, 0) for x in jet))
+        m = next(live, None)
+        if m is not None:
+            break
+    if m == 0:
         raise NotOnCurveError("%s does not lie on the curve" % p)
-    m = min(jets)
     if m == 1:
         raise NonsingularPointError("%s is a smooth point of the curve" % p)
-    jm = jets[m]
-    if _is_squarefree_binary(jm):
-        if m == 2:
-            return SingularityRecord(p, 2, KIND_NODE, 1)
-        return SingularityRecord(p, m, KIND_ORDINARY, m * (m - 1) // 2)
     if m > 2:
+        if _is_squarefree_form(jets[m]):
+            return SingularityRecord(p, m, KIND_ORDINARY, m * (m - 1) // 2)
         return SingularityRecord(
             p,
             m,
@@ -421,33 +476,28 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
             note="multiplicity-%d point with repeated tangent; delta is a "
             "lower bound" % m,
         )
-    # double point with a repeated tangent; jm = gamma * L^2
-    tangent = squarefree_part(jm)
-    alpha = _coeff_scalar(tangent, (1, 0))
-    beta = _coeff_scalar(tangent, (0, 1))
-    s = MultiPoly.variable(_AFF, "s")
-    t = MultiPoly.variable(_AFF, "t")
-    if beta:
-        # s -> s, t -> (t - alpha*s)/beta puts the tangent at {t = 0}...
-        # more precisely sends L to t
-        images = [s, (t - s.scale(alpha)).scale(beta.inverse())]
-    else:
-        images = [t.scale(alpha.inverse()), s]
-    f = sum(
-        (j for j in jets.values()), MultiPoly.zero(_AFF)
-    ).substitute(images)
-    by_exp = f.terms
-    gamma = by_exp.get((0, 2))
-    gamma = gamma.constant_value() if gamma else ZERO
-    assert gamma, "tangent alignment failed"
-    b3 = _coeff_scalar(f, (3, 0))
-    if b3:
+    c0, b, a = jets[2]  # the 2-jet a*s^2 + b*s*t + c0*t^2
+    bb, ac = _zr_mul(b, b), _zr_mul(a, c0)
+    if (bb[0] - 4 * ac[0], bb[1] - 4 * ac[1]) != (0, 0):
+        return SingularityRecord(p, 2, KIND_NODE, 1)
+    if a == (0, 0):
+        # the 2-jet is c0*t^2: swap s and t
+        jets = [jet[::-1] for jet in jets]
+        _, b, a = jets[2]
+    # 4a * (2-jet) = (2a*s + b*t)^2: the tangent direction is v = (b, -2a),
+    # and with w = (1, 0) the 2-jet becomes gamma*t^2 for gamma = a
+    v = (b, (-2 * a[0], -2 * a[1]))
+    gamma = a
+    if gamma == (0, 0) or _zr_form_at(jets[2], v) != (0, 0):
+        raise ArithmeticError("tangent alignment failed at %s" % p)
+    if _zr_form_at(jets[3], v) != (0, 0):
         return SingularityRecord(p, 2, KIND_CUSP, 1)
-    c3 = _coeff_scalar(f, (2, 1))
-    b4 = _coeff_scalar(f, (4, 0))
-    # complete the square in t: the surviving pure s^4 coefficient
-    residual = b4 - c3 * c3 / (EisensteinScalar(4) * gamma)
-    if residual:
+    # the s^2*t coefficient d/dw J3(v), and the s^4 coefficient J4(v)
+    c3 = _zr_form_at([(u * x, u * y) for u, (x, y) in enumerate(jets[3])][1:], v)
+    b4 = _zr_form_at(jets[4], v)
+    # complete the square in t: 4*gamma times the surviving s^4 coefficient
+    g4, c3c3 = _zr_mul(gamma, b4), _zr_mul(c3, c3)
+    if (4 * g4[0] - c3c3[0], 4 * g4[1] - c3c3[1]) != (0, 0):
         return SingularityRecord(p, 2, KIND_TACNODE, 2)
     return SingularityRecord(
         p,
@@ -489,13 +539,14 @@ def hessian(c: PlaneCurve) -> MultiPoly:
     )
 
 
-def flexes(c: PlaneCurve) -> FlexSearch:
+def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
     """Smooth inflection points and their Bezout-weighted count.
 
     The curve meets its Hessian in 3d(d-2) points counted with
     multiplicity; singular points absorb a known share each (6 per node,
     8 per cusp, 12 per tacnode, 3m(m-1) per ordinary m-fold point) and
-    the rest are flexes.
+    the rest are flexes.  classified is the (records, locus) pair of
+    classified_singularities(c) when the caller has it already.
     """
     h = hessian(c)
     if h.is_zero():
@@ -504,7 +555,7 @@ def flexes(c: PlaneCurve) -> FlexSearch:
         )
     d = c.degree
     notes: list = []
-    records, locus = classified_singularities(c)
+    records, locus = classified or classified_singularities(c)
     complete = locus.complete
     notes.extend(locus.notes)
     total = 3 * d * (d - 2)
@@ -734,7 +785,7 @@ def analysis_report(c: PlaneCurve) -> dict:
         notes.append(str(caught[0].message))
     flex_data = None
     try:
-        fx = flexes(c)
+        fx = flexes(c, (records, locus))
         flex_data = {
             "points": [p.as_list() for p in fx.points],
             "count_with_multiplicity": fx.count_with_multiplicity,

@@ -1,12 +1,20 @@
+import math
+import sys
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from plucker_lab import corpus, curve, polynomials
 from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar
 from plucker_lab.polynomials import (
     U_VARS,
     X_VARS,
+    MultiPoly,
+    bl2_sextic,
     parse_poly,
+    parse_scalar,
     proportional,
     render_poly,
 )
@@ -15,6 +23,7 @@ from plucker_lab.curve import (
     KIND_NODE,
     KIND_ORDINARY,
     KIND_TACNODE,
+    KIND_UNCLASSIFIED,
     DegenerateHessianError,
     LambdaSymbolicError,
     NonsingularPointError,
@@ -155,6 +164,209 @@ def test_node_with_eisenstein_tangents():
 
 
 # ---------------------------------------------------------------------------
+# the Z[rho] jet kernel
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+_scalars = st.builds(EisensteinScalar, _fractions, _fractions)
+
+
+@st.composite
+def _curves(draw):
+    d = draw(st.integers(2, 6))
+    exps = st.tuples(st.integers(0, d), st.integers(0, d)).filter(
+        lambda e: sum(e) <= d
+    )
+    terms = draw(
+        st.dictionaries(exps, _scalars.filter(bool), min_size=1, max_size=8)
+    )
+    return PlaneCurve(
+        MultiPoly(X_VARS, {(a, b, d - a - b): c for (a, b), c in terms.items()})
+    )
+
+
+@st.composite
+def _points(draw):
+    pivot = draw(st.integers(0, 2))
+    rest = [draw(_scalars) for _ in range(2 - pivot)]
+    return ProjectivePoint([ZERO] * pivot + [ONE] + rest)
+
+
+def _substituted(c, p):
+    """F(x_i = 1, x_j = p_j + s, x_k = p_k + t) by MultiPoly.substitute,
+    i the index of p's first nonzero coordinate and j < k the others."""
+    i = next(idx for idx, v in enumerate(p.coords) if v)
+    j, k = (idx for idx in range(3) if idx != i)
+    aff = ("s", "t")
+    images = [None] * 3
+    images[i] = MultiPoly.constant(aff, 1)
+    images[j] = MultiPoly.variable(aff, "s") + MultiPoly.constant(aff, p.coords[j])
+    images[k] = MultiPoly.variable(aff, "t") + MultiPoly.constant(aff, p.coords[k])
+    return c.equation.substitute(images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=_curves(), p=_points(), order=st.integers(0, 7))
+def test_taylor_jets_match_substitution(c, p, order):
+    # jets[n] = L * D^(d-n) * (degree-n jet of the substituted equation),
+    # L the lcm of the equation's denominators, D that of p's coordinates
+    lcm = math.lcm(*(cf.constant_value().den for cf in c.equation.terms.values()))
+    den = math.lcm(*(x.den for x in p.coords))
+    oracle = _substituted(c, p).terms
+    jets = curve._taylor_jets(c, p, order)
+    assert [len(jet) for jet in jets] == list(range(1, order + 2))
+    for n, jet in enumerate(jets):
+        factor = lcm * den ** (c.degree - n) if n <= c.degree else 0
+        for u, (a, b) in enumerate(jet):
+            want = oracle.get((u, n - u))
+            want = want.constant_value() if want else ZERO
+            assert EisensteinScalar(a, b) == want * factor
+
+
+# germs at (0:0:1); in the chart x2 = 1, s = x0 and t = x1
+_GERMS = [
+    ("x1^2*x2 - x0^2*x2 + x0^3", KIND_NODE, 2, 1),  # A1
+    ("x1^2*x2 - x0^3", KIND_CUSP, 2, 1),  # A2
+    ("x1^2*x2^2 - 2*x0^2*x1*x2 + 2*x0^4", KIND_TACNODE, 2, 2),  # (t - s^2)^2 + s^4
+    ("x1^2*x2^3 - 2*x0^2*x1*x2^2 + x0^4*x2 - x0^5", KIND_UNCLASSIFIED, 2, 2),  # A4
+    ("x0^3*x2 - 2*x1^3*x2 + x1^4", KIND_ORDINARY, 3, 3),  # s^3 - 2t^3 is irreducible
+    ("x0^2*x1*x2 + x1^4", KIND_UNCLASSIFIED, 3, 3),  # D5: s^2*t + t^4
+]
+_IDENTITY = [(1, 0), (0, 0), (0, 0), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0), (1, 0)]
+_zr_entries = st.tuples(st.integers(-2, 2), st.integers(-2, 2))  # a + b*rho
+
+
+@pytest.mark.parametrize("text, kind, mult, delta", _GERMS)
+@settings(max_examples=15, deadline=None)
+@given(entries=st.lists(_zr_entries, min_size=9, max_size=9))
+@example(entries=_IDENTITY)
+def test_germs_under_coordinate_change(text, kind, mult, delta, entries):
+    m = [[EisensteinScalar(*entries[3 * r + k]) for k in range(3)] for r in range(3)]
+    # row0 x row1 is sent by m to (0 : 0 : det m), where the germ sits
+    q = [
+        m[0][1] * m[1][2] - m[0][2] * m[1][1],
+        m[0][2] * m[1][0] - m[0][0] * m[1][2],
+        m[0][0] * m[1][1] - m[0][1] * m[1][0],
+    ]
+    assume(sum((m[2][k] * q[k] for k in range(3)), ZERO))
+    xs = [MultiPoly.variable(X_VARS, v) for v in X_VARS]
+    zero = MultiPoly.zero(X_VARS)
+    images = [sum((x.scale(e) for x, e in zip(xs, row)), zero) for row in m]
+    moved = PlaneCurve(parse_poly(text, X_VARS).substitute(images))
+    rec = classify_singularity(moved, ProjectivePoint(q))
+    assert (rec.kind, rec.multiplicity, rec.delta) == (kind, mult, delta)
+    assert bool(rec.note) == (kind == KIND_UNCLASSIFIED)
+
+
+@pytest.mark.parametrize(
+    "text, kind, mult, delta",
+    [
+        ("(x0^5 + x1^5)*x2 + x0^6", KIND_ORDINARY, 5, 10),
+        ("x0^6 - x1^6", KIND_ORDINARY, 6, 15),
+        ("x0^5*x2 + x1^6", KIND_UNCLASSIFIED, 5, 10),
+    ],
+)
+def test_classify_points_of_multiplicity_above_four(text, kind, mult, delta):
+    # every jet up to degree 4 vanishes: the kernel expands to full degree
+    rec = classify_singularity(_curve(text), ProjectivePoint((0, 0, 1)))
+    assert (rec.kind, rec.multiplicity, rec.delta) == (kind, mult, delta)
+
+
+@pytest.mark.parametrize(
+    "form, squarefree",
+    [
+        # coefficients of s^u t^(n-u), u = 0..n
+        ([(-1, 0), (0, 0), (1, 0), (0, 0)], True),  # t*(s^2 - t^2)
+        ([(1, 0), (0, 0), (0, 0), (1, 0)], True),  # s^3 + t^3
+        ([(0, 0), (1, 0), (0, 0), (0, 0)], False),  # s*t^2: t twice
+        ([(1, 0), (0, 0), (0, 0), (0, 0)], False),  # t^3
+        ([(0, 0), (0, 0), (1, 1), (1, 0)], False),  # s^2*(s - rho^2*t)
+    ],
+)
+def test_squarefree_form(form, squarefree):
+    assert curve._is_squarefree_form(form) is squarefree
+
+
+def test_tangent_alignment_guard_raises(monkeypatch):
+    # a real raise, not an assert that python -O would strip
+    monkeypatch.setattr(curve, "_zr_form_at", lambda form, v: (1, 0))
+    with pytest.raises(ArithmeticError, match="tangent alignment failed"):
+        classify_singularity(_curve(CUSPIDAL), ProjectivePoint((0, 0, 1)))
+
+
+def test_special_case_runs_no_general_gcd(monkeypatch):
+    calls = []
+    real_gcd, real_substitute = polynomials.mv_gcd, MultiPoly.substitute
+
+    def counting_gcd(p, q):
+        calls.append("mv_gcd")
+        return real_gcd(p, q)
+
+    def counting_substitute(p, images):
+        calls.append("substitute")
+        return real_substitute(p, images)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("plucker_lab") and hasattr(module, "mv_gcd"):
+            monkeypatch.setattr(module, "mv_gcd", counting_gcd)
+    monkeypatch.setattr(MultiPoly, "substitute", counting_substitute)
+    polynomials.squarefree_part(parse_poly("x0^2*x1", X_VARS))
+    assert "mv_gcd" in calls  # the counter sees the general gcd
+    calls.clear()
+    report = corpus.run_special_case("2")
+    assert report.passed and len(report.computed["singularities"]) == 9
+    assert "mv_gcd" not in calls
+    calls.clear()
+    sextic = PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar("2")))
+    records, _ = classified_singularities(sextic)
+    assert [r.kind for r in records] == [KIND_CUSP] * 9
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CURVES) + ["sextic at lambda = 2"])
+def test_singular_locus_matches_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    if name in corpus.CURVES:
+        c = _curve(corpus.CURVES[name])
+    else:
+        c = PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar("2")))
+    field = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+    rho = (sympy.sqrt(-3) - 1) / 2
+
+    def canonical(v):  # raises unless v lies in Q(sqrt(-3))
+        return field.to_sympy(field.from_sympy(sympy.sympify(v)))
+
+    def value(x):
+        return sympy.Rational(x.an, x.den) + sympy.Rational(x.bn, x.den) * rho
+
+    gens = sympy.symbols(c.vars)
+    partials = [
+        sum(
+            value(cf.constant_value()) * sympy.Mul(*(g**e for g, e in zip(gens, exp)))
+            for exp, cf in p.terms.items()
+        )
+        for p in c.partials()
+    ]
+    # common zeros chart by chart: x0 = 1, then x0 = 0 & x1 = 1, then (0:0:1)
+    want = set()
+    for k in range(3):
+        fixed = {g: 0 for g in gens[:k]}
+        fixed[gens[k]] = 1
+        free = gens[k + 1 :]
+        eqs = [e for e in (sympy.expand(p.subs(fixed)) for p in partials) if e != 0]
+        if not free:
+            sols = [] if eqs else [{}]
+        else:
+            sols = sympy.solve(eqs, free, dict=True)
+        for sol in sols:
+            assert set(sol) == set(free), "positive-dimensional singular locus"
+            want.add(tuple(canonical(fixed.get(g, sol.get(g))) for g in gens))
+    locus = singular_locus(c)
+    assert locus.complete
+    got = {tuple(canonical(value(x)) for x in p.coords) for p in locus.points}
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
 # flexes and hessian
 
 
@@ -286,6 +498,23 @@ def test_analysis_report_cuspidal():
     assert report["geometric_genus"] == 0
     assert report["flexes"]["count_with_multiplicity"] == 1
     assert report["genus_warning"] is False
+
+
+def test_analysis_report_computes_the_singular_locus_once(monkeypatch):
+    calls = []
+    real = curve.singular_locus
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(curve, "singular_locus", counting)
+    report = analysis_report(_curve(TACNODAL))
+    assert len(calls) == 1
+    assert [s["ade"] for s in report["singularities"]] == ["A3", "A3"]
+    assert report["flexes"]["count_with_multiplicity"] == 0
+    flexes(_curve(TACNODAL))  # direct callers still get their own locus
+    assert len(calls) == 2
 
 
 def test_analysis_report_tacnodal_flags_reducibility():

@@ -112,6 +112,28 @@ def test_render_parse_round_trip():
         assert parse_poly(text, XY) == p
 
 
+_lambda_coeffs = st.lists(
+    st.builds(
+        EisensteinScalar,
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+    ),
+    min_size=1,
+    max_size=4,
+).map(LambdaPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), _lambda_coeffs, max_size=5
+    )
+)
+def test_render_parse_round_trip_with_lambda(terms):
+    p = MultiPoly(XY, terms)
+    assert parse_poly(render_poly(p), XY) == p
+
+
 def test_render_poly_layout():
     assert render_poly(MultiPoly.zero(XY)) == "0"
     assert render_poly(parse_poly("x^2 - y", XY)) == "x^2 - y"
