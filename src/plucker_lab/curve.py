@@ -9,6 +9,7 @@ found" from "none found among scalar-resolvable points".
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,13 +27,10 @@ from .polynomials import (
     U_VARS,
     X_VARS,
     as_scalar_univariate,
-    divide_out,
-    mv_gcd,
     normalize_leading,
     parse_poly,
     parse_scalar,
     resultant,
-    squarefree_part,
 )
 
 
@@ -51,15 +49,6 @@ class NonsingularPointError(ValueError):
 class DegenerateHessianError(ValueError):
     """The Hessian determinant vanishes identically (ruled or degenerate
     input such as a line or a double line)."""
-
-
-class UnsupportedDegreeError(ValueError):
-    pass
-
-
-class EliminationError(RuntimeError):
-    """Iterated resultants degenerated (collapsed to zero or left only
-    spurious factors)."""
 
 
 class ProjectivePoint:
@@ -589,34 +578,6 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
 # Dual curves
 
 
-def _lift(p: MultiPoly, combined, offset: int) -> MultiPoly:
-    pad_left = (0,) * offset
-    pad_right = (0,) * (len(combined) - offset - len(p.vars))
-    return MultiPoly._raw(
-        combined, {pad_left + e + pad_right: c for e, c in p.terms.items()}
-    )
-
-
-def _project(p: MultiPoly, combined, offset: int, target) -> MultiPoly:
-    n = len(target)
-    out = {}
-    for exp, c in p.terms.items():
-        if any(exp[i] for i in range(len(combined)) if not offset <= i < offset + n):
-            raise EliminationError("projection dropped live variables")
-        out[exp[offset : offset + n]] = c
-    return MultiPoly._raw(tuple(target), out)
-
-
-def _strip_uniform_power(p: MultiPoly, var: str) -> MultiPoly:
-    i = p.vars.index(var)
-    k = min(e[i] for e in p.terms)
-    if k == 0:
-        return p
-    return MultiPoly._raw(
-        p.vars, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in p.terms.items()}
-    )
-
-
 def expected_class(d: int, records) -> int:
     """Plucker class d(d-1) minus the drop of each classified singularity
     (a tacnode counting as two nodes)."""
@@ -631,124 +592,162 @@ def expected_class(d: int, records) -> int:
     return m
 
 
-def _conic_dual(c: PlaneCurve, out_vars) -> MultiPoly:
-    def coeff(i, j):
-        exp = [0, 0, 0]
-        exp[i] += 1
-        exp[j] += 1
-        cf = c.equation.terms.get(tuple(exp))
-        v = cf.constant_value() if cf else ZERO
-        return v if i == j else v / 2
+def _reduce(p: dict, lead, tail) -> dict:
+    """p (exponent -> scalar, homogeneous) reduced in place modulo f:
+    every monomial divisible by f's leading monomial lead is rewritten by
+    x^lead = sum of tail, largest first.  The tail is lex-smaller than
+    lead, so each rewrite only touches smaller monomials."""
+    l0, l1, l2 = lead
+    heap = [(-e[0], -e[1], -e[2]) for e in p if e[0] >= l0 and e[1] >= l1 and e[2] >= l2]
+    heapq.heapify(heap)
+    while heap:
+        n0, n1, n2 = heapq.heappop(heap)
+        c = p.pop((-n0, -n1, -n2), None)
+        if c is None:  # a duplicate entry, or cancelled meanwhile
+            continue
+        q0, q1, q2 = -n0 - l0, -n1 - l1, -n2 - l2
+        for (t0, t1, t2), tc in tail:
+            t = (q0 + t0, q1 + t1, q2 + t2)
+            s = p.get(t)
+            v = c * tc if s is None else s + c * tc
+            if v:
+                p[t] = v
+                if s is None and t[0] >= l0 and t[1] >= l1 and t[2] >= l2:
+                    heapq.heappush(heap, (-t[0], -t[1], -t[2]))
+            else:
+                del p[t]
+    return p
 
-    m = [[coeff(i, j) for j in range(3)] for i in range(3)]
-    adj = [[ZERO] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            s = [k for k in range(3) if k != i]
-            minor = m[r[0]][s[0]] * m[r[1]][s[1]] - m[r[0]][s[1]] * m[r[1]][s[0]]
-            adj[i][j] = minor if (i + j) % 2 == 0 else -minor
-    out = MultiPoly.zero(out_vars)
-    for i in range(3):
-        for j in range(3):
-            if adj[i][j]:
-                ui = MultiPoly.variable(out_vars, out_vars[i])
-                uj = MultiPoly.variable(out_vars, out_vars[j])
-                out = out + (ui * uj).scale(adj[i][j])
-    return out
+
+def _times(p: dict, g: dict) -> dict:
+    """The product of two exponent -> scalar dicts."""
+    out = {}
+    for (a0, a1, a2), x in p.items():
+        for (b0, b1, b2), y in g.items():
+            e = (a0 + b0, a1 + b1, a2 + b2)
+            s = out.get(e)
+            out[e] = x * y if s is None else s + x * y
+    return {e: v for e, v in out.items() if v}
+
+
+def _axpy(v: dict, c, w: dict) -> None:
+    """v -= c * w, in place, dropping zeros."""
+    for k, x in w.items():
+        s = v.get(k)
+        if s is None:
+            v[k] = -(c * x)
+        else:
+            s = s - c * x
+            if s:
+                v[k] = s
+            else:
+                del v[k]
+
+
+def _kernel(columns) -> list:
+    """Basis of the kernel of the matrix with the given sparse columns
+    (row -> scalar dicts), as dicts column index -> scalar.
+
+    Columns are reduced one by one against the echelon basis of those
+    before; a column that reduces to zero yields the kernel vector its
+    tag (the combination of original columns it now is) records.
+    """
+    basis = []  # (pivot row, column normalized to 1 there, its tag)
+    kernel = []
+    for j, col in enumerate(columns):
+        v, tag = dict(col), {j: ONE}
+        for r, w, wt in basis:
+            c = v.get(r)
+            if c is not None:
+                _axpy(v, c, w)
+                _axpy(tag, c, wt)
+        if not v:
+            kernel.append(tag)
+            continue
+        r = min(v)
+        inv = v[r].inverse()
+        basis.append(
+            (r, {k: x * inv for k, x in v.items()}, {k: x * inv for k, x in tag.items()})
+        )
+    return kernel
+
+
+class DualKernelError(ValueError):
+    """The linear system for the dual form of degree m has a kernel that
+    is not one-dimensional (a non-reduced or line-containing input)."""
+
+    def __init__(self, degree: int, dimension: int):
+        super().__init__(
+            "the dual form of degree %d has a %d-dimensional kernel, not 1: "
+            "no unique dual curve" % (degree, dimension)
+        )
+        self.degree = degree
+        self.dimension = dimension
 
 
 def dual_curve(c: PlaneCurve) -> PlaneCurve:
     """The curve of tangent lines, as an equation in dual coordinates.
 
-    Degree 2 goes through the adjugate matrix.  Degrees 3 and 4 set up
-    the incidence system {u.x = 0, u parallel to grad c} and eliminate
-    the point coordinates with iterated resultants (the curve equation
-    itself is implied by the Euler identity); spurious factors are cut
-    by gcd-combining the surviving eliminants, dividing out the dual
-    lines of singular points, and taking the squarefree part.  When the
-    singularities are fully classified the output degree is checked
-    against the predicted class.  A curve whose Hessian vanishes
-    identically (a rank-2 conic, concurrent lines) raises
-    DegenerateHessianError before any elimination.
+    Finds the form G of degree m with f | G(grad f) as one exact linear
+    kernel: column alpha (|alpha| = m) of the matrix is the normal form
+    of grad(f)^alpha modulo f with respect to f's grlex leading monomial
+    ({f} is a Groebner basis of (f) for every term order), computed from
+    the column of a neighbour alpha - e_i by one multiplication and one
+    reduction.  A zero normal form is an exact proof of divisibility, so
+    the kernel vector is the certificate.  m is the predicted class when
+    the singular locus is complete and classified; otherwise the least m
+    <= d(d-1) with a nonzero kernel.  A kernel that is not 1-dimensional
+    raises DualKernelError.  A curve whose Hessian vanishes identically
+    (a rank-2 conic, concurrent lines) raises DegenerateHessianError
+    first.
     """
-    d = c.degree
-    if d < 2 or d > 4:
-        raise UnsupportedDegreeError(
-            "dual_curve supports degrees 2..4, got %d" % d
-        )
     if hessian(c).is_zero():
         raise DegenerateHessianError(
             "identically-zero Hessian: the curve is a union of concurrent "
             "lines and has no dual curve"
         )
+    d = c.degree
     out_vars = U_VARS if c.vars != U_VARS else X_VARS
     records, locus = classified_singularities(c)
     try:
         m_expected = expected_class(d, records) if locus.complete else None
     except ValueError:
         m_expected = None
-    if d == 2:
-        return PlaneCurve(normalize_leading(_conic_dual(c, out_vars)))
-
-    combined = c.vars + tuple(out_vars)
-    grads = [_lift(g, combined, 0) for g in c.partials()]
-    xs = [MultiPoly.variable(combined, v) for v in c.vars]
-    us = [MultiPoly.variable(combined, v) for v in out_vars]
-    incidence = xs[0] * us[0] + xs[1] * us[1] + xs[2] * us[2]
-    minors = [
-        us[1] * grads[2] - us[2] * grads[1],
-        us[2] * grads[0] - us[0] * grads[2],
-        us[0] * grads[1] - us[1] * grads[0],
+    # x^lead = tail modulo f
+    lead, lc = c.equation.leading_term()
+    scale = -lc.constant_value().inverse()
+    tail = [
+        (e, cf.constant_value() * scale)
+        for e, cf in c.equation.terms.items()
+        if e != lead
     ]
-    polys = [incidence] + [m for m in minors if not m.is_zero()]
-    for var in (c.vars[2], c.vars[1]):
-        with_v = [p for p in polys if p.degree_in(var) > 0]
-        without = [p for p in polys if p.degree_in(var) == 0]
-        if not with_v:
+    grads = [
+        {e: cf.constant_value() for e, cf in g.terms.items()} for g in c.partials()
+    ]
+    top = d * (d - 1) if m_expected is None else m_expected
+    columns = {(0, 0, 0): {(0, 0, 0): ONE}}
+    for m in range(1, top + 1):
+        prev, columns = columns, {}
+        for a in range(m, -1, -1):
+            for b in range(m - a, -1, -1):
+                alpha = (a, b, m - a - b)
+                i = next(k for k in range(3) if alpha[k])
+                below = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+                columns[alpha] = _reduce(_times(prev[below], grads[i]), lead, tail)
+        if m_expected is not None and m < m_expected:
             continue
-        if len(with_v) == 1:
-            raise EliminationError(
-                "cannot eliminate %s: only one equation involves it" % var
-            )
-        with_v.sort(key=lambda p: (p.degree_in(var), len(p.terms)))
-        base = with_v[0]
-        news = []
-        for q in with_v[1:]:
-            r = resultant(base, q, var)
-            if not r.is_zero():
-                news.append(r)
-        polys = news + without
-        if not polys:
-            raise EliminationError("elimination collapsed to zero")
-    candidates = []
-    for p in polys:
-        p = _strip_uniform_power(p, c.vars[0])
-        if p.degree_in(c.vars[0]) != 0:
-            raise EliminationError("eliminant is not bihomogeneous")
-        candidates.append(_project(p, combined, 3, out_vars))
-    g = candidates[0]
-    for p in candidates[1:]:
-        g = mv_gcd(g, p)
-    for v in out_vars:
-        g = _strip_uniform_power(g, v)
-    for pt in locus.points:
-        line = MultiPoly.zero(out_vars)
-        for i in range(3):
-            if pt.coords[i]:
-                line = line + MultiPoly.variable(out_vars, out_vars[i]).scale(
-                    pt.coords[i]
-                )
-        g, _ = divide_out(g, line)
-    g = squarefree_part(g)
-    if g.is_constant():
-        raise EliminationError("spurious factors exhausted the resultant")
-    if m_expected is not None and g.total_degree() != m_expected:
-        raise EliminationError(
-            "dual degree %d does not match the predicted class %d"
-            % (g.total_degree(), m_expected)
-        )
-    return PlaneCurve(normalize_leading(g))
+        kernel = _kernel(list(columns.values()))
+        if kernel:
+            break
+    else:
+        raise DualKernelError(top, 0)
+    if len(kernel) != 1:
+        raise DualKernelError(m, len(kernel))
+    alphas = list(columns)
+    dual = MultiPoly._raw(
+        out_vars, {alphas[j]: LambdaPoly((x,)) for j, x in kernel[0].items()}
+    )
+    return PlaneCurve(normalize_leading(dual))
 
 
 # ---------------------------------------------------------------------------

@@ -825,7 +825,7 @@ def discriminant(p: MultiPoly, var: str) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# GCD, content, squarefree part
+# GCD and content
 
 def _content_in(p: MultiPoly, var: str) -> MultiPoly:
     coeffs = [c for c in p.coefficients_in(var) if not c.is_zero()]
@@ -907,32 +907,6 @@ def mv_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         else:
             a, b = b, _primitive_in(r, var)[1]
     return normalize_leading(cont * a)
-
-
-def squarefree_part(p: MultiPoly) -> MultiPoly:
-    """p with repeated factors collapsed to multiplicity one."""
-    if p.is_zero() or p.is_constant():
-        return p
-    g = p
-    for v in p.vars:
-        if p.degree_in(v) > 0:
-            g = mv_gcd(g, p.partial_derivative(v))
-    if g.is_constant():
-        return normalize_leading(p)
-    return normalize_leading(p.exact_div(g))
-
-
-def divide_out(p: MultiPoly, f: MultiPoly):
-    """Divide f out of p as many times as it exactly divides;
-    returns (reduced, count)."""
-    count = 0
-    while True:
-        try:
-            nxt = p.exact_div(f)
-        except ValueError:
-            return p, count
-        p = nxt
-        count += 1
 
 
 def parse_scalar(text: str) -> EisensteinScalar:

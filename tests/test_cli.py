@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from plucker_lab.cli import build_parser, main
+from plucker_lab.polynomials import bl2_sextic, render_poly
 
 CUSPIDAL = "x1^2*x2 - x0^3"
 
@@ -84,6 +85,28 @@ def test_curve_dual_of_concurrent_lines_exits_2(capsys):
     code, _, err = run(capsys, ["curve", "dual", "x0^3 - x1^3"])
     assert code == 2
     assert "Hessian" in err
+
+
+def test_curve_dual_of_a_double_conic_exits_2(capsys):
+    code, out, err = run(capsys, ["curve", "dual", "(x0^2 - x1*x2)^2"])
+    assert code == 2 and out == ""
+    assert "degree 2" in err and "6-dimensional kernel" in err
+
+
+@pytest.mark.parametrize(
+    "lam, hesse",
+    [
+        ("2", "u0^3 - 6*u0*u1*u2 + u1^3 + u2^3"),
+        ("-4/3", "u0^3 + 4*u0*u1*u2 + u1^3 + u2^3"),
+    ],
+)
+def test_curve_dual_of_special_sextic(capsys, lam, hesse):
+    sextic = render_poly(bl2_sextic())
+    # a negative value needs the --lambda=VALUE form
+    argv = ["curve", "dual", "--vars", "y0,y1,y2", "--lambda=" + lam, "--format", "json", sextic]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {"degree": 3, "equation": hesse, "variables": ["u0", "u1", "u2"]}
 
 
 def test_curve_flexes(capsys):

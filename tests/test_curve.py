@@ -25,12 +25,12 @@ from plucker_lab.curve import (
     KIND_TACNODE,
     KIND_UNCLASSIFIED,
     DegenerateHessianError,
+    DualKernelError,
     LambdaSymbolicError,
     NonsingularPointError,
     NotOnCurveError,
     PlaneCurve,
     ProjectivePoint,
-    UnsupportedDegreeError,
     analysis_report,
     classified_singularities,
     classify_singularity,
@@ -309,7 +309,7 @@ def test_special_case_runs_no_general_gcd(monkeypatch):
         if name.startswith("plucker_lab") and hasattr(module, "mv_gcd"):
             monkeypatch.setattr(module, "mv_gcd", counting_gcd)
     monkeypatch.setattr(MultiPoly, "substitute", counting_substitute)
-    polynomials.squarefree_part(parse_poly("x0^2*x1", X_VARS))
+    polynomials.mv_gcd(parse_poly("x0^2*x1", X_VARS), parse_poly("x0*x1^2", X_VARS))
     assert "mv_gcd" in calls  # the counter sees the general gcd
     calls.clear()
     report = corpus.run_special_case("2")
@@ -320,6 +320,8 @@ def test_special_case_runs_no_general_gcd(monkeypatch):
     records, _ = classified_singularities(sextic)
     assert [r.kind for r in records] == [KIND_CUSP] * 9
     assert calls == []
+    dual_curve(_curve(NODAL))
+    assert calls == []  # the dual is one linear kernel, no gcd
 
 
 @pytest.mark.parametrize("name", sorted(corpus.CURVES) + ["sextic at lambda = 2"])
@@ -442,9 +444,141 @@ def test_dual_tacnodal_quartic():
     assert dual.degree == 4  # class 4*3 - 2*4
 
 
-def test_dual_unsupported_degree():
-    with pytest.raises(UnsupportedDegreeError):
-        dual_curve(_curve("x0^5 + x1^5 + x2^5"))
+@settings(max_examples=60, deadline=None)
+@given(c=_curves(), data=st.data())
+def test_reduce_gives_the_normal_form_modulo_f(c, data):
+    d = c.degree
+    n = data.draw(st.integers(d, 2 * d))
+    exps = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda e: sum(e) <= n)
+    terms = data.draw(st.dictionaries(exps, _scalars.filter(bool), min_size=1, max_size=6))
+    p = {(a, b, n - a - b): x for (a, b), x in terms.items()}
+    lead, lc = c.equation.leading_term()
+    scale = -lc.constant_value().inverse()
+    tail = [(e, x.constant_value() * scale) for e, x in c.equation.terms.items() if e != lead]
+    nf = curve._reduce(dict(p), lead, tail)
+    assert not any(all(a >= b for a, b in zip(e, lead)) for e in nf)
+    diff = MultiPoly(X_VARS, p) - MultiPoly(X_VARS, nf)
+    diff.exact_div(c.equation)  # raises unless p - nf is a multiple of f
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    data=st.data(),
+)
+def test_kernel_matches_sympy_rank(shape, data):
+    sympy = pytest.importorskip("sympy")
+    rows, cols = shape
+    entry = st.one_of(st.just(ZERO), _scalars)
+    matrix = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if data.draw(st.booleans()) and cols > 1:  # force a dependent column
+        matrix = [row + [row[0] * 2 - row[-1]] for row in matrix]
+        cols += 1
+    columns = [{r: matrix[r][j] for r in range(rows) if matrix[r][j]} for j in range(cols)]
+    kernel = curve._kernel(columns)
+    for vec in kernel:
+        for r in range(rows):
+            assert sum((matrix[r][j] * x for j, x in vec.items()), ZERO) == ZERO
+    # over Q, a + b*rho acts on the basis (1, rho) as [[a, -b], [b, a - b]],
+    # and a rank over Q(rho) doubles in that regular representation
+    blocks = sympy.zeros(2 * rows, 2 * cols)
+    for r in range(rows):
+        for j in range(cols):
+            a, b = matrix[r][j].a, matrix[r][j].b
+            blocks[2 * r : 2 * r + 2, 2 * j : 2 * j + 2] = sympy.Matrix(
+                [[a, -b], [b, a - b]]
+            )
+    assert 2 * len(kernel) == 2 * cols - blocks.rank()
+    # each vector ends in its own column with coefficient 1: independent
+    assert len({max(vec) for vec in kernel}) == len(kernel)
+    assert all(vec[max(vec)] == ONE for vec in kernel)
+
+
+def _certify(dual, c):
+    """Checks f | D(grad f) by exact division, which raises otherwise."""
+    dual.equation.substitute(c.partials()).exact_div(c.equation)
+
+
+def test_dual_fermat_quintic():
+    c = _curve("x0^5 + x1^5 + x2^5")
+    dual = dual_curve(c)
+    assert dual.degree == 20  # class 5*4
+    _certify(dual, c)
+
+
+def _cofactors(m):
+    """The cofactor matrix of m: the inverse transpose up to 1/det m."""
+    return [
+        [
+            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+def _linear_images(m, variables):
+    """The forms sum_k m[i][k] * variables[k], i = 0, 1, 2."""
+    vs = [MultiPoly.variable(variables, v) for v in variables]
+    zero = MultiPoly.zero(variables)
+    return [sum((v.scale(e) for v, e in zip(vs, row)), zero) for row in m]
+
+
+def _moved_dual_agrees(text, m):
+    """The dual of f(m x) is the dual of f mapped by the inverse transpose
+    of m; checks that, the predicted class and the exact certificate."""
+    base = dual_curve(_curve(text))
+    moved = PlaneCurve(parse_poly(text, X_VARS).substitute(_linear_images(m, X_VARS)))
+    dual = dual_curve(moved)
+    records, locus = classified_singularities(moved)
+    assert locus.complete
+    assert dual.degree == expected_class(moved.degree, records) == base.degree
+    _certify(dual, moved)
+    want = base.equation.substitute(_linear_images(_cofactors(m), U_VARS))
+    assert proportional(dual.equation, want)
+
+
+def test_dual_of_invertible_image_of_fermat_cubic():
+    # (x0 + x1)^3 + (x1 + x2)^3 + (x0 + x2)^3, whose dual once hung in the
+    # multivariate gcd of an elimination dual
+    m = [[EisensteinScalar(x) for x in row] for row in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
+    _moved_dual_agrees(FERMAT, m)
+
+
+_unit_entries = st.builds(
+    EisensteinScalar, st.integers(-1, 1), st.integers(-1, 1)
+)  # a + b*rho with a, b in {-1, 0, 1}
+
+
+@pytest.mark.parametrize("text", ["x0*x2 - x1^2", NODAL, CUSPIDAL, FERMAT, TACNODAL])
+@settings(max_examples=5, deadline=None)
+@given(entries=st.lists(_unit_entries, min_size=9, max_size=9))
+def test_dual_under_invertible_coordinate_change(text, entries):
+    m = [entries[3 * r : 3 * r + 3] for r in range(3)]
+    det = sum((m[0][k] * _cofactors(m)[0][k] for k in range(3)), ZERO)
+    assume(det)
+    _moved_dual_agrees(text, m)
+
+
+@pytest.mark.parametrize("lam", ["2", "-4/3", "9/7", "-2 + 2*rho"])
+def test_dual_of_special_sextic_is_the_hesse_cubic(lam):
+    value = parse_scalar(lam)
+    sextic = PlaneCurve(bl2_sextic().specialize_lambda(value))
+    dual = dual_curve(sextic)
+    hesse = parse_poly("u0^3 + u1^3 + u2^3", U_VARS) - parse_poly(
+        "u0*u1*u2", U_VARS
+    ).scale(value * 3)
+    assert proportional(dual.equation, hesse)
+    _certify(dual, sextic)
+
+
+def test_dual_of_a_double_conic_has_no_unique_kernel():
+    with pytest.raises(DualKernelError) as exc:
+        dual_curve(_curve("(x0^2 - x1*x2)^2"))
+    # every quadratic form G has q^2 | G(grad q^2) = 4 q^2 G(grad q)
+    assert (exc.value.degree, exc.value.dimension) == (2, 6)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_dual_rejects_identically_zero_hessian():

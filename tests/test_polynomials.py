@@ -18,7 +18,6 @@ from plucker_lab.polynomials import (
     bareiss_determinant,
     bl2_sextic,
     discriminant,
-    divide_out,
     mv_gcd,
     normalize_leading,
     parse_poly,
@@ -27,7 +26,6 @@ from plucker_lab.polynomials import (
     quadratic_map,
     render_poly,
     resultant,
-    squarefree_part,
 )
 
 XY = ("x", "y")
@@ -454,24 +452,6 @@ def test_mv_gcd_coprime_is_constant():
     p = parse_poly("x^2 + 1", XY)
     q = parse_poly("y", XY)
     assert mv_gcd(p, q).is_constant()
-
-
-def test_squarefree_part():
-    v = XY
-    p = parse_poly("x + y", v)
-    q = parse_poly("x - 2*y", v)
-    sf = squarefree_part(p * p * q)
-    assert proportional(sf, p * q)
-
-
-def test_divide_out():
-    v = XY
-    p = parse_poly("x + y", v)
-    q = parse_poly("x^2 + y", v)
-    prod = p * p * q
-    reduced, times = divide_out(prod, p)
-    assert times == 2
-    assert proportional(reduced, q)
 
 
 def test_normalize_leading_and_proportional():
