@@ -14,8 +14,6 @@ from .scalars import (  # noqa: F401
     EisensteinScalar,
     LambdaPoly,
     RootSearch,
-    eis_invert,
-    eis_norm,
     eis_sqrt,
     lambda_roots,
 )

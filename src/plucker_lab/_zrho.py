@@ -1,0 +1,296 @@
+"""Integer arithmetic in Z[rho], the ring of integers of Q(rho).
+
+An element a + b*rho of Z[rho] is an (a, b) pair of ints, with
+rho^2 = -1 - rho.  A polynomial over Z[rho] in one variable is a list of
+pairs, lowest degree first, with no trailing (0, 0) ([] is zero); a
+binary form of degree n is the list of its coefficients of s^u t^(n-u),
+u = 0..n.  A polynomial over F_p is a list of ints, lowest power first,
+with no trailing zeros.
+
+The integer kernels of the package run on this format: the Bareiss
+recurrence of the chart resultants, the Taylor jets of the singularity
+classifier, and the p-adic core of lambda_roots.  Scalars of Q(rho) enter
+through clear; every other function sees only ints.
+"""
+
+import math
+
+
+def clear(scalars):
+    """The scalars (an + bn*rho) / den of a sequence over their least
+    common denominator: returns (pairs, den) with pairs[i] / den equal to
+    scalars[i]."""
+    den = math.lcm(*(s.den for s in scalars))
+    return [(s.an * (den // s.den), s.bn * (den // s.den)) for s in scalars], den
+
+
+def mul(x, y):
+    a1, b1 = x
+    a2, b2 = y
+    bb = b1 * b2  # rho^2 = -1 - rho
+    return (a1 * a2 - bb, a1 * b2 + b1 * a2 - bb)
+
+
+def norm(x):
+    """N(a + b*rho) = a^2 - a*b + b^2, a non-negative int."""
+    a, b = x
+    return a * a - a * b + b * b
+
+
+def powers(x, n):
+    """[1, x, x^2, ..., x^n]."""
+    out = [(1, 0)]
+    for _ in range(n):
+        out.append(mul(out[-1], x))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Dense univariate polynomials: the resultant kernel
+
+
+def cross(x, pivot, lead, y):
+    """x*pivot - lead*y."""
+    n = max(len(x) + len(pivot), len(lead) + len(y), 1) - 1
+    out_a = [0] * n
+    out_b = [0] * n
+    for p, q, neg in ((x, pivot, False), (lead, y, True)):
+        for i, (a1, b1) in enumerate(p):
+            if not (a1 or b1):
+                continue
+            if neg:
+                a1, b1 = -a1, -b1
+            for j, (a2, b2) in enumerate(q, i):
+                bb = b1 * b2
+                out_a[j] += a1 * a2 - bb
+                out_b[j] += a1 * b2 + b1 * a2 - bb
+    out = list(zip(out_a, out_b))
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def exact_div(p, d):
+    """p / d; raises ArithmeticError on a nonzero remainder.
+
+    Each quotient coefficient is the remainder's leading coefficient times
+    the conjugate of d's, divided by the norm of d's leading coefficient."""
+    if not p:
+        return []
+    top = len(d) - 1
+    c, e = d[-1]
+    ca, cb = c - e, -e  # conjugate: rho -> rho^2 = -1 - rho
+    n = c * c - c * e + e * e
+    rem_a = [a for a, _ in p]
+    rem_b = [b for _, b in p]
+    quot = [(0, 0)] * max(len(p) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        a, b = rem_a[k + top], rem_b[k + top]
+        if not (a or b):
+            continue
+        bb = b * cb
+        qa, ra = divmod(a * ca - bb, n)
+        qb, rb = divmod(a * cb + b * ca - bb, n)
+        if ra or rb:
+            break
+        quot[k] = (qa, qb)
+        for i, (da, db) in enumerate(d, k):
+            bb = qb * db
+            rem_a[i] -= qa * da - bb
+            rem_b[i] -= qa * db + qb * da - bb
+    if not quot or any(rem_a) or any(rem_b):
+        raise ArithmeticError("inexact division over Z[rho]")
+    return quot
+
+
+def bareiss(mat):
+    """Determinant of a square matrix of polynomials by the fraction-free
+    recurrence of polynomials.bareiss_determinant."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = [(1, 0)]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot, row_k = m[k][k], m[k]
+        for row_i in m[k + 1 :]:
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = exact_div(cross(row_i[j], pivot, lead, row_k[j]), prev)
+            row_i[k] = []
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return [(-a, -b) for a, b in det] if sign < 0 else det
+
+
+# ---------------------------------------------------------------------------
+# Binary forms: the jets
+
+
+def form_at(form, v):
+    """The binary form at (s, t) = v, v a pair of elements."""
+    n = len(form) - 1
+    s_pow = powers(v[0], n)
+    t_pow = powers(v[1], n)
+    a = b = 0
+    for u, cf in enumerate(form):
+        x, y = mul(cf, mul(s_pow[u], t_pow[n - u]))
+        a += x
+        b += y
+    return a, b
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over F_p and p-adic roots
+
+
+def _fp_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a: list, b: list, p: int):
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    inv_lead = pow(b[-1], -1, p)
+    quot = [0] * (len(rem) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db] * inv_lead % p
+        quot[i] = c
+        if c:
+            for j, bc in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * bc) % p
+    return quot, _fp_trim(rem[:db])
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd of two polynomials over F_p."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv_lead = pow(a[-1], -1, p)
+    return [c * inv_lead % p for c in a]
+
+
+def _fp_mulmod(a: list, b: list, m: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _fp_divmod([c % p for c in out], m, p)[1]
+
+
+def _fp_powmod(a: list, e: int, m: list, p: int) -> list:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _fp_mulmod(result, a, m, p)
+        a = _fp_mulmod(a, a, m, p)
+        e >>= 1
+    return result
+
+
+def _fp_squarefree(f: list, p: int) -> bool:
+    df = _fp_trim([k * c % p for k, c in enumerate(f) if k])
+    return bool(df) and len(_fp_gcd(f, df, p)) == 1
+
+
+def _fp_split(h: list, p: int) -> list:
+    """Roots of a monic product of distinct linear factors (Cantor-Zassenhaus
+    with the shifts 0, 1, 2, ...: for any two distinct roots some shift s
+    makes exactly one of root + s a nonzero square, so the loop splits h)."""
+    if len(h) <= 2:
+        return [-h[0] % p] if len(h) == 2 else []
+    for s in range(p):
+        w = _fp_powmod([s, 1], (p - 1) // 2, h, p) or [0]
+        w[0] = (w[0] - 1) % p
+        d = _fp_gcd(h, _fp_trim(w), p)
+        if 1 < len(d) < len(h):
+            return _fp_split(d, p) + _fp_split(_fp_divmod(h, d, p)[0], p)
+    raise AssertionError("no shift splits %s mod %d" % (h, p))
+
+
+def _fp_roots(f: list, p: int) -> list:
+    """Distinct roots in F_p of f: gcd(f, x^p - x), then split it."""
+    xp = _fp_powmod([0, 1], p, f, p) + [0, 0]
+    xp[1] = (xp[1] - 1) % p
+    return sorted(_fp_split(_fp_gcd(f, _fp_trim(xp), p), p))
+
+
+def _hensel_lift(f: list, u: int, p: int, modulus: int) -> int:
+    """Newton-lift a simple root u of f mod p to the root mod modulus = p^k."""
+    df = [k * c for k, c in enumerate(f) if k]
+    m = p
+    while m < modulus:
+        m = min(m * m, modulus)
+        fu = du = 0
+        for c in reversed(f):
+            fu = (fu * u + c) % m
+        for c in reversed(df):
+            du = (du * u + c) % m
+        u = (u - fu * pow(du, -1, m)) % m
+    return u
+
+
+def _is_small_prime(n: int) -> bool:
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def roots(cs, is_root):
+    """The roots in Q(rho) of the squarefree polynomial cs over Z[rho]
+    (degree >= 1), as (D*a, D*b, D) triples for a root a + b*rho, where D
+    is the norm of the leading coefficient.
+
+    Candidates come from p-adic lifting in both embeddings of Z[rho] into
+    Z/p^k (the prime rule and the bound that makes the search complete
+    are argued in scalars.lambda_roots).  is_root(D*a, D*b, D) is the
+    exact test; a candidate is kept only if it holds."""
+    d = norm(cs[-1])
+    top = max(norm(c) for c in cs[:-1])
+    m_bound = math.isqrt(top // d) + 2
+    bound = d * (math.isqrt(4 * m_bound * m_bound // 3) + 1)
+    p = 7
+    while True:
+        if _is_small_prime(p) and d % p:
+            cubes = (pow(h, (p - 1) // 3, p) for h in range(2, p))
+            r = next(x for x in cubes if x != 1)
+            images = [[(a + b * s) % p for a, b in cs] for s in (r, p - 1 - r)]
+            if all(_fp_squarefree(f, p) for f in images):
+                break
+        p += 6
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= p
+    big_r = _hensel_lift([1, 1, 1], r, p, modulus)
+    lifted = []
+    for s, image in zip((big_r, -1 - big_r), images):
+        f = [(a + b * s) % modulus for a, b in cs]
+        lifted.append([_hensel_lift(f, u, p, modulus) for u in _fp_roots(image, p)])
+    inv = pow(2 * big_r + 1, -1, modulus)  # R - R^2 = 2R + 1 (mod p^k)
+    half = modulus // 2
+    found = []
+    for u in lifted[0]:
+        for v in lifted[1]:
+            b = (u - v) * inv % modulus
+            da = d * (u - b * big_r) % modulus
+            db = d * b % modulus
+            da = da - modulus if da > half else da
+            db = db - modulus if db > half else db
+            if abs(da) > bound or abs(db) > bound:
+                continue
+            if is_root(da, db, d):
+                found.append((da, db, d))
+                lifted[1].remove(v)
+                break
+    return found

@@ -156,7 +156,7 @@ def _family_obstructions():
     return tuple(rows), tuple(texts), unresolved
 
 
-def run_special_case(lambda_value, analyze_singular_locus: bool = True) -> ScenarioReport:
+def run_special_case(lambda_value) -> ScenarioReport:
     """Sextic-family scenario at one admissible parameter value.
 
     Reads the family's order-3 orbit obstructions (computed once per
@@ -199,37 +199,36 @@ def run_special_case(lambda_value, analyze_singular_locus: bool = True) -> Scena
     report.computed["sextic"] = render_poly(sextic.equation)
     report.computed["sextic_degree"] = sextic.degree
 
-    if analyze_singular_locus:
-        records, locus = classified_singularities(sextic)
-        cusps = sum(1 for r in records if r.kind == KIND_CUSP)
-        report.computed["singularities"] = [r.as_dict() for r in records]
-        report.computed["singular_locus_complete"] = locus.complete
-        report.notes.extend(locus.notes)
-        if locus.complete:
-            report.check(
-                "sextic-cusp-locus",
-                "acceptance 7",
-                len(records) == 9 and cusps == 9,
-                "found %d singular points, %d cusps (want 9 cusps)" % (len(records), cusps),
-            )
-            report.computed["sextic_genus"] = geometric_genus(sextic, records)
-            report.computed["sextic_class"] = expected_class(sextic.degree, records)
-            report.check(
-                "sextic-genus-class",
-                "acceptance 7",
-                report.computed["sextic_genus"] == 1
-                and report.computed["sextic_class"] == 3,
-                "genus %s and class %s from the resolved locus (want 1 and 3)"
-                % (report.computed["sextic_genus"], report.computed["sextic_class"]),
-            )
-        else:
-            report.check(
-                "sextic-cusp-locus",
-                "acceptance 7",
-                cusps <= 9 and all(r.kind == KIND_CUSP for r in records),
-                "resolution incomplete: %d of 9 cusps found; the (6,0,9) cross-check below carries the verification"
-                % cusps,
-            )
+    records, locus = classified_singularities(sextic)
+    cusps = sum(1 for r in records if r.kind == KIND_CUSP)
+    report.computed["singularities"] = [r.as_dict() for r in records]
+    report.computed["singular_locus_complete"] = locus.complete
+    report.notes.extend(locus.notes)
+    if locus.complete:
+        report.check(
+            "sextic-cusp-locus",
+            "acceptance 7",
+            len(records) == 9 and cusps == 9,
+            "found %d singular points, %d cusps (want 9 cusps)" % (len(records), cusps),
+        )
+        report.computed["sextic_genus"] = geometric_genus(sextic, records)
+        report.computed["sextic_class"] = expected_class(sextic.degree, records)
+        report.check(
+            "sextic-genus-class",
+            "acceptance 7",
+            report.computed["sextic_genus"] == 1
+            and report.computed["sextic_class"] == 3,
+            "genus %s and class %s from the resolved locus (want 1 and 3)"
+            % (report.computed["sextic_genus"], report.computed["sextic_class"]),
+        )
+    else:
+        report.check(
+            "sextic-cusp-locus",
+            "acceptance 7",
+            cusps <= 9 and all(r.kind == KIND_CUSP for r in records),
+            "resolution incomplete: %d of 9 cusps found; the (6,0,9) cross-check below carries the verification"
+            % cusps,
+        )
 
     inv = dual_invariants(6, 0, 9)
     report.computed["pluecker_6_0_9"] = inv.as_dict()

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from . import _zrho
 from .scalars import (
     ONE,
     ZERO,
@@ -346,24 +347,7 @@ def singular_locus(c: PlaneCurve) -> SingularLocus:
 # ---------------------------------------------------------------------------
 # Local singularity classification
 #
-# Jets are computed over Z[rho] with plain ints: an element is an (a, b)
-# pair meaning a + b*rho, as in the resultant kernel of polynomials.py, and
-# a binary form of degree n is the list of its coefficients of s^u t^(n-u),
-# u = 0..n.
-
-
-def _zr_mul(x, y):
-    a1, b1 = x
-    a2, b2 = y
-    bb = b1 * b2  # rho^2 = -1 - rho
-    return (a1 * a2 - bb, a1 * b2 + b1 * a2 - bb)
-
-
-def _zr_powers(x, n):
-    out = [(1, 0)]
-    for _ in range(n):
-        out.append(_zr_mul(out[-1], x))
-    return out
+# Jets are computed over Z[rho] with plain ints, in the format of _zrho.
 
 
 def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
@@ -380,47 +364,32 @@ def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
     """
     i = next(idx for idx, v in enumerate(p.coords) if v)
     j, k = (idx for idx in range(3) if idx != i)
-    pj, pk = p.coords[j], p.coords[k]
-    den = math.lcm(pj.den, pk.den)
+    ab, den = _zrho.clear((p.coords[j], p.coords[k]))
     d = c.degree
     # shifts[e][u]: the coefficient C(e, u) * A^(e-u) of s^u in (A + s)^e
     shifts = []
-    for x in (pj, pk):
-        f = den // x.den
-        pw = _zr_powers((x.an * f, x.bn * f), d)
+    for x in ab:
+        pw = _zrho.powers(x, d)
         shifts.append([
             [(math.comb(e, u) * pw[e - u][0], math.comb(e, u) * pw[e - u][1])
              for u in range(min(e, order) + 1)]
             for e in range(d + 1)
         ])
     shift_s, shift_t = shifts
-    lcm = math.lcm(*(cf.coeffs[0].den for cf in c.equation.terms.values()))
+    terms = c.equation.terms
+    coeffs, _ = _zrho.clear([cf.coeffs[0] for cf in terms.values()])
     out_a = [[0] * (n + 1) for n in range(order + 1)]
     out_b = [[0] * (n + 1) for n in range(order + 1)]
-    for exp, cf in c.equation.terms.items():
-        sc = cf.coeffs[0]
-        f = lcm // sc.den * den ** exp[i]
-        base = (sc.an * f, sc.bn * f)
+    for exp, (ca, cb) in zip(terms, coeffs):
+        f = den ** exp[i]
+        base = (ca * f, cb * f)
         for u, x in enumerate(shift_s[exp[j]]):
-            x = _zr_mul(base, x)
+            x = _zrho.mul(base, x)
             for v, y in enumerate(shift_t[exp[k]][: order - u + 1]):
-                a, b = _zr_mul(x, y)
+                a, b = _zrho.mul(x, y)
                 out_a[u + v][u] += a
                 out_b[u + v][u] += b
     return [list(zip(ra, rb)) for ra, rb in zip(out_a, out_b)]
-
-
-def _zr_form_at(form, v):
-    """The binary form at (s, t) = v, v a pair of Z[rho] elements."""
-    n = len(form) - 1
-    s_pow = _zr_powers(v[0], n)
-    t_pow = _zr_powers(v[1], n)
-    a = b = 0
-    for u, cf in enumerate(form):
-        x, y = _zr_mul(cf, _zr_mul(s_pow[u], t_pow[n - u]))
-        a += x
-        b += y
-    return a, b
 
 
 def _is_squarefree_form(form) -> bool:
@@ -466,7 +435,7 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
             "lower bound" % m,
         )
     c0, b, a = jets[2]  # the 2-jet a*s^2 + b*s*t + c0*t^2
-    bb, ac = _zr_mul(b, b), _zr_mul(a, c0)
+    bb, ac = _zrho.mul(b, b), _zrho.mul(a, c0)
     if (bb[0] - 4 * ac[0], bb[1] - 4 * ac[1]) != (0, 0):
         return SingularityRecord(p, 2, KIND_NODE, 1)
     if a == (0, 0):
@@ -477,15 +446,15 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
     # and with w = (1, 0) the 2-jet becomes gamma*t^2 for gamma = a
     v = (b, (-2 * a[0], -2 * a[1]))
     gamma = a
-    if gamma == (0, 0) or _zr_form_at(jets[2], v) != (0, 0):
+    if gamma == (0, 0) or _zrho.form_at(jets[2], v) != (0, 0):
         raise ArithmeticError("tangent alignment failed at %s" % p)
-    if _zr_form_at(jets[3], v) != (0, 0):
+    if _zrho.form_at(jets[3], v) != (0, 0):
         return SingularityRecord(p, 2, KIND_CUSP, 1)
     # the s^2*t coefficient d/dw J3(v), and the s^4 coefficient J4(v)
-    c3 = _zr_form_at([(u * x, u * y) for u, (x, y) in enumerate(jets[3])][1:], v)
-    b4 = _zr_form_at(jets[4], v)
+    c3 = _zrho.form_at([(u * x, u * y) for u, (x, y) in enumerate(jets[3])][1:], v)
+    b4 = _zrho.form_at(jets[4], v)
     # complete the square in t: 4*gamma times the surviving s^4 coefficient
-    g4, c3c3 = _zr_mul(gamma, b4), _zr_mul(c3, c3)
+    g4, c3c3 = _zrho.mul(gamma, b4), _zrho.mul(c3, c3)
     if (4 * g4[0] - c3c3[0], 4 * g4[1] - c3c3[1]) != (0, 0):
         return SingularityRecord(p, 2, KIND_TACNODE, 2)
     return SingularityRecord(

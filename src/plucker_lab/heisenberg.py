@@ -9,6 +9,7 @@ the lambda values for which the whole orbit lies on the curve are the common
 roots of one obstruction polynomial.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .scalars import (
@@ -181,29 +182,29 @@ def iota() -> ProjectiveTransform:
     return ProjectiveTransform(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
 
 
-_GROUP_CACHE = None
+@functools.cache
+def _group() -> tuple:
+    gens = (sigma(), tau(), iota())
+    seen = {ProjectiveTransform.identity()}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for g in frontier:
+            for h in gens:
+                prod = g * h
+                if prod not in seen:
+                    seen.add(prod)
+                    grown.append(prod)
+        frontier = grown
+    return tuple(sorted(seen, key=ProjectiveTransform.sort_key))
 
 
 def enumerate_group():
     """All distinct transforms generated by sigma, tau and iota, in a fixed
-    deterministic order.  The projective closure has exactly 18 elements:
-    sigma and tau generate a (Z/3)^2 that iota normalizes."""
-    global _GROUP_CACHE
-    if _GROUP_CACHE is None:
-        gens = (sigma(), tau(), iota())
-        seen = {ProjectiveTransform.identity()}
-        frontier = list(seen)
-        while frontier:
-            grown = []
-            for g in frontier:
-                for h in gens:
-                    prod = g * h
-                    if prod not in seen:
-                        seen.add(prod)
-                        grown.append(prod)
-            frontier = grown
-        _GROUP_CACHE = tuple(sorted(seen, key=ProjectiveTransform.sort_key))
-    return list(_GROUP_CACHE)
+    deterministic order (computed once per process, a fresh list on every
+    call).  The projective closure has exactly 18 elements: sigma and tau
+    generate a (Z/3)^2 that iota normalizes."""
+    return list(_group())
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ coordinate map.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
+from . import _zrho
 from .scalars import (
     LAMBDA,
     ONE,
@@ -597,23 +597,6 @@ def render_poly(p: MultiPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation wrappers
-
-def evaluate(p: MultiPoly, point) -> LambdaPoly:
-    """Evaluate at scalar coordinates; lambda stays symbolic."""
-    return p.evaluate(point)
-
-
-def partial_derivative(p: MultiPoly, var: str) -> MultiPoly:
-    return p.partial_derivative(var)
-
-
-def substitute(p: MultiPoly, images) -> MultiPoly:
-    """Compose p with a full list of images, one per variable."""
-    return p.substitute(images)
-
-
-# ---------------------------------------------------------------------------
 # Resultants
 
 def _sylvester_rows(pc, qc, zero):
@@ -667,118 +650,29 @@ def bareiss_determinant(mat, variables) -> MultiPoly:
     return -det if sign < 0 else det
 
 
-# Integer kernel.  An element of Z[rho] is an (a, b) pair of ints meaning
-# a + b*rho; a polynomial over Z[rho] in one variable is a list of such
-# pairs, lowest degree first, with no trailing (0, 0) ([] is zero).
-
-
-def _zr_cross(x, pivot, lead, y):
-    """x*pivot - lead*y over Z[rho]."""
-    n = max(len(x) + len(pivot), len(lead) + len(y), 1) - 1
-    out_a = [0] * n
-    out_b = [0] * n
-    for p, q, neg in ((x, pivot, False), (lead, y, True)):
-        for i, (a1, b1) in enumerate(p):
-            if not (a1 or b1):
-                continue
-            if neg:
-                a1, b1 = -a1, -b1
-            for j, (a2, b2) in enumerate(q, i):
-                # (a1 + b1 rho)(a2 + b2 rho) with rho^2 = -1 - rho
-                bb = b1 * b2
-                out_a[j] += a1 * a2 - bb
-                out_b[j] += a1 * b2 + b1 * a2 - bb
-    out = list(zip(out_a, out_b))
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return out
-
-
-def _zr_exact_div(p, d):
-    """p / d over Z[rho]; raises ArithmeticError on a nonzero remainder.
-
-    Each quotient coefficient is the remainder's leading coefficient times
-    the conjugate of d's, divided by the norm of d's leading coefficient."""
-    if not p:
-        return []
-    top = len(d) - 1
-    c, e = d[-1]
-    ca, cb = c - e, -e  # conjugate: rho -> rho^2 = -1 - rho
-    norm = c * c - c * e + e * e
-    rem_a = [a for a, _ in p]
-    rem_b = [b for _, b in p]
-    quot = [(0, 0)] * max(len(p) - top, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        a, b = rem_a[k + top], rem_b[k + top]
-        if not (a or b):
-            continue
-        bb = b * cb
-        qa, ra = divmod(a * ca - bb, norm)
-        qb, rb = divmod(a * cb + b * ca - bb, norm)
-        if ra or rb:
-            break
-        quot[k] = (qa, qb)
-        for i, (da, db) in enumerate(d, k):
-            bb = qb * db
-            rem_a[i] -= qa * da - bb
-            rem_b[i] -= qa * db + qb * da - bb
-    if not quot or any(rem_a) or any(rem_b):
-        raise ArithmeticError("inexact division in the Z[rho] resultant kernel")
-    return quot
-
-
-def _zr_coefficients(p: MultiPoly, i: int, j):
+def _chart_coefficients(p: MultiPoly, i: int, j):
     """Coefficients of p in variable i, leading first, each a Z[rho]
     polynomial in variable j (None: no other live variable), after
     multiplying p by the lcm of its scalar denominators; returns the
     coefficients and that lcm."""
-    den = math.lcm(*(c.coeffs[0].den for c in p.terms.values()))
+    pairs, den = _zrho.clear([c.coeffs[0] for c in p.terms.values()])
     rows = [[] for _ in range(p.degree_in(p.vars[i]) + 1)]
-    for exp, c in p.terms.items():
-        s = c.coeffs[0]
+    for exp, pair in zip(p.terms, pairs):
         row = rows[exp[i]]
         at = 0 if j is None else exp[j]
         row.extend([(0, 0)] * (at + 1 - len(row)))
-        row[at] = (s.an * (den // s.den), s.bn * (den // s.den))
+        row[at] = pair
     rows.reverse()
     return rows, den
-
-
-def _zr_bareiss(mat):
-    """Determinant of a square matrix of Z[rho] polynomials, by the same
-    fraction-free recurrence as bareiss_determinant."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = [(1, 0)]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot, row_k = m[k][k], m[k]
-        for row_i in m[k + 1 :]:
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                num = _zr_cross(row_i[j], pivot, lead, row_k[j])
-                row_i[j] = _zr_exact_div(num, prev)
-            row_i[k] = []
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return [(-a, -b) for a, b in det] if sign < 0 else det
 
 
 def _chart_resultant(p: MultiPoly, q: MultiPoly, i: int, j) -> MultiPoly:
     """Resultant in variable i of lambda-free p and q whose only other
     live variable is j (or none), computed over Z[rho] and scaled back by
     D_p^-deg(q) * D_q^-deg(p) for the cleared denominators D_p, D_q."""
-    pc, p_den = _zr_coefficients(p, i, j)
-    qc, q_den = _zr_coefficients(q, i, j)
-    det = _zr_bareiss(_sylvester_rows(pc, qc, []))
+    pc, p_den = _chart_coefficients(p, i, j)
+    qc, q_den = _chart_coefficients(q, i, j)
+    det = _zrho.bareiss(_sylvester_rows(pc, qc, []))
     scale = p_den ** (len(qc) - 1) * q_den ** (len(pc) - 1)
     zero = (0,) * len(p.vars)
     terms = {}

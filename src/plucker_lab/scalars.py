@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _zrho
+
 
 class EisensteinScalar:
     """An element a + b*rho of Q(rho), stored as integers over a common
@@ -208,16 +210,6 @@ def render_scalar(x: EisensteinScalar) -> str:
     if b > 0:
         return "%s + %s" % (_render_fraction(a), rho_part)
     return "%s - %s" % (_render_fraction(a), rho_part.lstrip("-"))
-
-
-def eis_invert(x: EisensteinScalar) -> EisensteinScalar:
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    return x.inverse()
-
-
-def eis_norm(x: EisensteinScalar) -> Fraction:
-    """The field norm a^2 - a*b + b^2 (multiplicative, >= 0)."""
-    return x.norm()
 
 
 def fraction_sqrt(q: Fraction):
@@ -519,159 +511,6 @@ def render_lambda_poly(p: LambdaPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p: coefficient lists, lowest power first, no trailing
-# zeros
-
-
-def _fp_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list, b: list, p: int):
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], rem
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * (len(rem) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db] * inv_lead % p
-        quot[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bc) % p
-    return quot, _fp_trim(rem[:db])
-
-
-def _fp_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd of two polynomials over F_p."""
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    inv_lead = pow(a[-1], -1, p)
-    return [c * inv_lead % p for c in a]
-
-
-def _fp_mulmod(a: list, b: list, m: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _fp_divmod([c % p for c in out], m, p)[1]
-
-
-def _fp_powmod(a: list, e: int, m: list, p: int) -> list:
-    result = [1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, a, m, p)
-        a = _fp_mulmod(a, a, m, p)
-        e >>= 1
-    return result
-
-
-def _fp_squarefree(f: list, p: int) -> bool:
-    df = _fp_trim([k * c % p for k, c in enumerate(f) if k])
-    return bool(df) and len(_fp_gcd(f, df, p)) == 1
-
-
-def _fp_split(h: list, p: int) -> list:
-    """Roots of a monic product of distinct linear factors (Cantor-Zassenhaus
-    with the shifts 0, 1, 2, ...: for any two distinct roots some shift s
-    makes exactly one of root + s a nonzero square, so the loop splits h)."""
-    if len(h) <= 2:
-        return [-h[0] % p] if len(h) == 2 else []
-    for s in range(p):
-        w = _fp_powmod([s, 1], (p - 1) // 2, h, p) or [0]
-        w[0] = (w[0] - 1) % p
-        d = _fp_gcd(h, _fp_trim(w), p)
-        if 1 < len(d) < len(h):
-            return _fp_split(d, p) + _fp_split(_fp_divmod(h, d, p)[0], p)
-    raise AssertionError("no shift splits %s mod %d" % (h, p))
-
-
-def _fp_roots(f: list, p: int) -> list:
-    """Distinct roots in F_p of f: gcd(f, x^p - x), then split it."""
-    xp = _fp_powmod([0, 1], p, f, p) + [0, 0]
-    xp[1] = (xp[1] - 1) % p
-    return sorted(_fp_split(_fp_gcd(f, _fp_trim(xp), p), p))
-
-
-def _hensel_lift(f: list, u: int, p: int, modulus: int) -> int:
-    """Newton-lift a simple root u of f mod p to the root mod modulus = p^k."""
-    df = [k * c for k, c in enumerate(f) if k]
-    m = p
-    while m < modulus:
-        m = min(m * m, modulus)
-        fu = du = 0
-        for c in reversed(f):
-            fu = (fu * u + c) % m
-        for c in reversed(df):
-            du = (du * u + c) % m
-        u = (u - fu * pow(du, -1, m)) % m
-    return u
-
-
-def _is_small_prime(n: int) -> bool:
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def _eisenstein_roots(g: LambdaPoly) -> list:
-    """Every root of the squarefree g (degree >= 1) that lies in Q(rho),
-    by p-adic lifting in both embeddings of Z[rho] into Z/p^k; see
-    lambda_roots for the prime rule and the bound that makes it complete."""
-    den = 1
-    for c in g.coeffs:
-        den = den * c.den // math.gcd(den, c.den)
-    cs = [(c.an * (den // c.den), c.bn * (den // c.den)) for c in g.coeffs]
-    la, lb = cs[-1]
-    norm_lc = la * la - la * lb + lb * lb
-    top = max(a * a - a * b + b * b for a, b in cs[:-1])
-    m_bound = math.isqrt(top // norm_lc) + 2
-    bound = norm_lc * (math.isqrt(4 * m_bound * m_bound // 3) + 1)
-    p = 7
-    while True:
-        if _is_small_prime(p) and norm_lc % p:
-            cubes = (pow(h, (p - 1) // 3, p) for h in range(2, p))
-            r = next(x for x in cubes if x != 1)
-            images = [[(a + b * s) % p for a, b in cs] for s in (r, p - 1 - r)]
-            if all(_fp_squarefree(f, p) for f in images):
-                break
-        p += 6
-    modulus = p
-    while modulus <= 2 * bound:
-        modulus *= p
-    big_r = _hensel_lift([1, 1, 1], r, p, modulus)
-    lifted = []
-    for s, image in zip((big_r, -1 - big_r), images):
-        f = [(a + b * s) % modulus for a, b in cs]
-        lifted.append(
-            [_hensel_lift(f, u, p, modulus) for u in _fp_roots(image, p)]
-        )
-    inv = pow(2 * big_r + 1, -1, modulus)  # R - R^2 = 2R + 1 (mod p^k)
-    half = modulus // 2
-    found = []
-    for u in lifted[0]:
-        for v in lifted[1]:
-            b = (u - v) * inv % modulus
-            da = norm_lc * (u - b * big_r) % modulus
-            db = norm_lc * b % modulus
-            da = da - modulus if da > half else da
-            db = db - modulus if db > half else db
-            if abs(da) > bound or abs(db) > bound:
-                continue
-            cand = EisensteinScalar._raw(da, db, norm_lc)
-            if not g.evaluate(cand):
-                found.append(cand)
-                lifted[1].remove(v)
-                break
-    return found
-
-
-# ---------------------------------------------------------------------------
 # Root finding over Q(rho)
 
 
@@ -705,38 +544,41 @@ def _squarefree_part(p: LambdaPoly) -> LambdaPoly:
     return p.exact_div(g)
 
 
+def _eisenstein_roots(g: LambdaPoly) -> list:
+    """Every root of the squarefree g (degree >= 1) that lies in Q(rho):
+    the candidates of _zrho.roots, each kept only if g vanishes at it
+    exactly."""
+
+    def vanishes(an, bn, den):
+        return not g.evaluate(EisensteinScalar._raw(an, bn, den))
+
+    cs, _ = _zrho.clear(g.coeffs)
+    return [EisensteinScalar._raw(*t) for t in _zrho.roots(cs, vanishes)]
+
+
 def _deflate(p: LambdaPoly, root: EisensteinScalar):
-    """Divide out (lambda - root) as often as it divides; returns
-    (quotient, multiplicity)."""
+    """Divide out (lambda - root) as often as it divides, by synthetic
+    division; returns (quotient, multiplicity)."""
     mult = 0
-    lin = LambdaPoly((-root, ONE))
     while True:
-        q, r = p.divmod(lin)
-        if not r.is_zero():
+        acc = ZERO
+        quot = []  # highest power first; the last entry is p(root)
+        for c in reversed(p.coeffs):
+            acc = acc * root + c
+            quot.append(acc)
+        if quot.pop():
             return p, mult
-        p = q
+        p = LambdaPoly._raw(reversed(quot))
         mult += 1
-
-
-def _solve_quadratic(p: LambdaPoly):
-    """Roots inside Q(rho) of a degree-2 polynomial, with multiplicity."""
-    c0, c1, c2 = p.coeffs
-    disc = c1 * c1 - EisensteinScalar(4) * c2 * c0
-    if not disc:
-        return [(-c1 / (EisensteinScalar(2) * c2), 2)]
-    s = eis_sqrt(disc)
-    if s is None:
-        return []
-    inv = (EisensteinScalar(2) * c2).inverse()
-    return [((-c1 + s) * inv, 1), ((-c1 - s) * inv, 1)]
 
 
 def lambda_roots(p: LambdaPoly) -> RootSearch:
     """All roots of p lying in Q(rho), found exactly.
 
-    Degree <= 2 (after stripping powers of lambda) is solved directly.
-    From degree 3 up, the roots of the squarefree part g come from p-adic
-    lifting (Loos's rational-zero method, carried to Q(rho)):
+    Degree 1 (after stripping powers of lambda) is solved directly.  From
+    degree 2 up, the roots of the squarefree part g come from p-adic
+    lifting (Loos's rational-zero method, carried to Q(rho)), in the
+    integer kernel _zrho.roots:
 
     - g is scaled to Eisenstein-integer coefficients c_i, with leading
       coefficient lc and D = N(lc) = lc*conj(lc) > 0.
@@ -777,12 +619,10 @@ def lambda_roots(p: LambdaPoly) -> RootSearch:
     if k:
         roots.append((ZERO, k))
         work = LambdaPoly._raw(work.coeffs[k:])
-    if work.degree >= 3:
+    if work.degree >= 2:
         for root in _eisenstein_roots(_squarefree_part(work)):
             work, mult = _deflate(work, root)
             roots.append((root, mult))
-    elif work.degree == 2:
-        roots.extend(_solve_quadratic(work))
     elif work.degree == 1:
         roots.append((-work.coeffs[0] / work.coeffs[1], 1))
     unresolved = (work.monic(),) if work.degree >= 3 else ()

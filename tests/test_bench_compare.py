@@ -62,3 +62,13 @@ def test_directions_read_from_a_benchmark_document():
         "per_layer": [{"name": "x.complete_ratio", "better": "higher"}],
     }
     assert bench_compare.directions(doc) == {"pass_s": "lower", "x.complete_ratio": "higher"}
+
+
+def test_src_lines_counts_the_package_sources_like_wc(tmp_path):
+    pkg = tmp_path / "src" / "plucker_lab"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (pkg / "b.py").write_text("def f():\n    return 1")  # no final newline: 1 line
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (pkg / "sub" / "c.py").write_text("not counted either\n")
+    assert bench_compare.src_lines(tmp_path) == 4

@@ -110,10 +110,7 @@ def test_orbit_obstruction_runs_once_per_process(monkeypatch):
 
     monkeypatch.setattr(corpus, "curve_orbit_obstruction", counting)
     corpus._family_obstructions.cache_clear()
-    reports = [
-        run_special_case(lam, analyze_singular_locus=False)
-        for lam in (3, Fraction(1, 2), "2 + rho")
-    ]
+    reports = [run_special_case(lam) for lam in (3, Fraction(1, 2), "2 + rho")]
     assert len(calls) == 1
     assert all(r.passed for r in reports)
     # reports share nothing mutable with the cached computation
@@ -165,12 +162,3 @@ def test_special_case_rejects_degenerate_lambdas():
     for bad in [1, RHO, RHO * RHO, "rho", "-1 - rho"]:
         with pytest.raises(ValueError):
             run_special_case(bad)
-
-
-def test_special_case_can_skip_singularity_analysis():
-    report = run_special_case(2, analyze_singular_locus=False)
-    assert report.passed
-    names = [c["name"] for c in report.checks]
-    assert "sextic-cusp-locus" not in names
-    assert "orbits-excluded-at-lambda" in names
-    assert "singularities" not in report.computed

@@ -288,7 +288,7 @@ def test_squarefree_form(form, squarefree):
 
 def test_tangent_alignment_guard_raises(monkeypatch):
     # a real raise, not an assert that python -O would strip
-    monkeypatch.setattr(curve, "_zr_form_at", lambda form, v: (1, 0))
+    monkeypatch.setattr(curve._zrho, "form_at", lambda form, v: (1, 0))
     with pytest.raises(ArithmeticError, match="tangent alignment failed"):
         classify_singularity(_curve(CUSPIDAL), ProjectivePoint((0, 0, 1)))
 

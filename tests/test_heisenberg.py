@@ -107,7 +107,7 @@ def test_group_enumeration_is_deterministic():
     import plucker_lab.heisenberg as hb
 
     first = enumerate_group()
-    hb._GROUP_CACHE = None
+    hb._group.cache_clear()
     second = enumerate_group()
     assert first == second
 

@@ -18,6 +18,7 @@ from plucker_lab.scalars import (
     ZERO,
     EisensteinScalar,
     LambdaPoly,
+    eis_sqrt,
     lambda_roots,
 )
 
@@ -85,6 +86,42 @@ def test_lambda_roots_recovers_products(roots, cofactor, scale):
         assert r.unresolved == (cofactor,) and not r.complete
     else:
         assert r.unresolved == () and r.complete
+
+
+def quadratic_formula(p: LambdaPoly) -> dict:
+    """{root: multiplicity} of a degree-2 p by the closed form, with
+    eis_sqrt deciding whether the discriminant is a square in Q(rho)."""
+    c0, c1, c2 = p.coeffs
+    disc = c1 * c1 - 4 * c2 * c0
+    if not disc:
+        return {-c1 / (2 * c2): 2}
+    s = eis_sqrt(disc)
+    if s is None:
+        return {}
+    return {(-c1 + s) / (2 * c2): 1, (-c1 - s) / (2 * c2): 1}
+
+
+def _split(a, b, scale):
+    return (LambdaPoly([-a, ONE]) * LambdaPoly([-b, ONE])).scale(scale)
+
+
+_nonzero = _scalars.filter(bool)
+_quadratics = st.one_of(
+    st.tuples(_scalars, _scalars, _nonzero).map(LambdaPoly),
+    st.builds(_split, _scalars, _scalars, _nonzero),
+    st.builds(lambda a, scale: _split(a, a, scale), _scalars, _nonzero),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_quadratics)
+def test_quadratics_match_the_closed_form(p):
+    # split roots, double roots, root-free, rho coefficients: degree 2
+    # takes the same lifting path as every higher degree
+    assert p.degree == 2
+    r = lambda_roots(p)
+    assert dict(r.roots) == quadratic_formula(p)
+    assert r.complete and r.unresolved == ()
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ The change is this checkout's working tree.  Each pair runs
 same interpreter; even pairs run the parent first and odd pairs the
 change first, so that drift of the host's speed falls on both sides.
 
-For every metric the output records each side's values, median and
-quartiles, the pairs the change won (ties count for neither) and whether
-a gain is shown: the change wins at least nine tenths of the pairs and
-the medians differ, in the better direction, by more than the parent's
-interquartile range.  Each (workload, seed, trace) case is stored under
-its own key, so several invocations with the same sides and ``--out``
-accumulate in one file.
+Each side records its sha, the digest of its sources and ``src_lines``,
+the line count of src/plucker_lab/*.py.  For every metric the output
+records each side's values, median and quartiles, the pairs the change
+won (ties count for neither) and whether a gain is shown: the change
+wins at least nine tenths of the pairs and the medians differ, in the
+better direction, by more than the parent's interquartile range.  Each
+(workload, seed, trace) case is stored under its own key, so several
+invocations with the same sides and ``--out`` accumulate in one file.
 """
 
 import argparse
@@ -94,6 +95,11 @@ def export_tree(rev, dest):
     return sha
 
 
+def src_lines(root):
+    """Total lines of src/plucker_lab/*.py under ``root``, as wc -l counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in Path(root).glob("src/plucker_lab/*.py"))
+
+
 def run_bench(root, args):
     """One perfbench run in checkout ``root``: (metrics, src_sha256)."""
     cmd = [sys.executable, str(Path(root) / "perfbench" / "run.py"),
@@ -133,6 +139,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_sha = export_tree(args.parent, tmp)
         roots = {"parent": Path(tmp), "change": ROOT}
+        lines = {side: src_lines(root) for side, root in roots.items()}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -148,8 +155,9 @@ def main(argv=None):
         "metrics": summarize(runs["parent"], runs["change"], better),
     }
     sides = {
-        "parent": {"sha": parent_sha, "src_sha256": digests["parent"]},
-        "change": {"sha": head, "uncommitted_changes": dirty, "src_sha256": digests["change"]},
+        "parent": {"sha": parent_sha, "src_sha256": digests["parent"], "src_lines": lines["parent"]},
+        "change": {"sha": head, "uncommitted_changes": dirty, "src_sha256": digests["change"],
+                   "src_lines": lines["change"]},
     }
     doc = {"cases": {}}
     if args.out.exists():
