@@ -9,11 +9,13 @@ with no trailing zeros.
 
 The integer kernels of the package run on this format: the Bareiss
 recurrence of the chart resultants, the Taylor jets of the singularity
-classifier, and the p-adic core of lambda_roots.  Scalars of Q(rho) enter
+classifier, the normal forms and fraction-free kernel of the dual curve,
+and the p-adic core of lambda_roots.  Scalars of Q(rho) enter
 through clear; every other function sees only ints.
 """
 
 import math
+from itertools import chain
 
 
 def clear(scalars):
@@ -145,6 +147,127 @@ def form_at(form, v):
         a += x
         b += y
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# Ternary forms and sparse columns: the dual curve
+#
+# A ternary form is a dict exponent triple -> nonzero pair; a sparse vector
+# is a dict index -> nonzero pair.
+
+
+def content(*vectors):
+    """The gcd of every int in the given sparse vectors (0 if all are empty)."""
+    return math.gcd(*chain.from_iterable(chain.from_iterable(v.values() for v in vectors)))
+
+
+def divide(v, g):
+    """The sparse vector v with every int divided exactly by g."""
+    return {k: (a // g, b // g) for k, (a, b) in v.items()}
+
+
+def times(p, g):
+    """The product of two ternary forms."""
+    out = {}
+    for (a0, a1, a2), (xa, xb) in p.items():
+        for (b0, b1, b2), (ya, yb) in g.items():
+            e = (a0 + b0, a1 + b1, a2 + b2)
+            bb = xb * yb
+            sa, sb = out.get(e, (0, 0))
+            out[e] = (sa + xa * ya - bb, sb + xa * yb + xb * ya - bb)
+    return {e: x for e, x in out.items() if x != (0, 0)}
+
+
+def reduce(p, lead, tail, n):
+    """The normal form of the form p modulo f, where n*x^lead = tail
+    modulo f (n a positive int, tail a list of (exponent, pair) whose
+    monomials lie below lead in a term order).  p is consumed.
+
+    Returns (r, k) with r = n^k * p modulo f and no monomial of r
+    divisible by x^lead.  Each round multiplies the form by n once and
+    rewrites every divisible monomial present; the rewrites only add
+    smaller monomials, so the largest divisible one falls every round."""
+    l0, l1, l2 = lead
+    k = 0
+    while True:
+        due = [e for e in p if e[0] >= l0 and e[1] >= l1 and e[2] >= l2]
+        if not due:
+            return p, k
+        k += 1
+        due = [(e, p.pop(e)) for e in due]
+        if n != 1:
+            p = {e: (a * n, b * n) for e, (a, b) in p.items()}
+        for (e0, e1, e2), (ca, cb) in due:
+            q0, q1, q2 = e0 - l0, e1 - l1, e2 - l2
+            for (t0, t1, t2), (ta, tb) in tail:
+                t = (q0 + t0, q1 + t1, q2 + t2)
+                bb = cb * tb
+                sa, sb = p.get(t, (0, 0))
+                xa, xb = sa + ca * ta - bb, sb + ca * tb + cb * ta - bb
+                if xa or xb:
+                    p[t] = (xa, xb)
+                else:  # a cancellation: a product of nonzero pairs is nonzero
+                    del p[t]
+
+
+def _combine(v, m, c, w):
+    """m*v - c*w for an int m and a pair c, dropping zeros."""
+    ca, cb = c
+    out = {k: (m * a, m * b) for k, (a, b) in v.items()} if m != 1 else dict(v)
+    for k, (wa, wb) in w.items():
+        bb = cb * wb
+        sa, sb = out.get(k, (0, 0))
+        xa, xb = sa - ca * wa + bb, sb - ca * wb - cb * wa + bb
+        if xa or xb:
+            out[k] = (xa, xb)
+        else:  # a cancellation, as c*w[k] is nonzero
+            del out[k]
+    return out
+
+
+def _primitive(v, tag):
+    """v and tag divided by the integer content of both; tag is nonzero."""
+    g = content(v, tag)
+    return (v, tag) if g == 1 else (divide(v, g), divide(tag, g))
+
+
+def kernel(columns):
+    """Basis of the kernel of the matrix over Z[rho] with the given sparse
+    columns (row -> pair), as sparse vectors column index -> pair.
+
+    Fraction-free elimination with tags, after Bareiss: each column is
+    reduced against the basis built from the columns before it, and its
+    tag records it as a combination of the original columns.  Against a
+    basis vector w with pivot P at row r (a positive int) and the entry c
+    of v at r, v becomes (P*v - c*w) / g with g the common factor of P
+    and c.  A column that reduces to zero yields its tag as a kernel
+    vector; any other is multiplied by the conjugate of its pivot, which
+    makes the pivot the rational integer N(pivot), and joins the basis.
+    The integer content of (column, tag) is removed after every step; the
+    conjugate step is what keeps the coefficients from growing without
+    bound on dense inputs."""
+    basis = []  # (pivot row, pivot, column, tag)
+    out = []
+    for j, col in enumerate(columns):
+        v, tag = col, {j: (1, 0)}
+        for r, piv, w, wt in basis:
+            c = v.get(r)
+            if c is None:
+                continue
+            g = math.gcd(piv, *c)
+            m, c = piv // g, (c[0] // g, c[1] // g)
+            v, tag = _primitive(_combine(v, m, c, w), _combine(tag, m, c, wt))
+        if not v:
+            out.append(tag)
+            continue
+        r = min(v)
+        a, b = v[r]
+        conj = (a - b, -b)
+        v, tag = _primitive(
+            {k: mul(x, conj) for k, x in v.items()}, {k: mul(x, conj) for k, x in tag.items()}
+        )
+        basis.append((r, v[r][0], v, tag))
+    return out
 
 
 # ---------------------------------------------------------------------------

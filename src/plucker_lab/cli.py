@@ -8,6 +8,7 @@ failed result, 2 on usage errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -383,7 +384,10 @@ def _add_poly_flags(p) -> None:
                    help="specialize lambda to a rational before analyzing")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args keeps
+    no state between calls, so every main call reuses it."""
     ap = argparse.ArgumentParser(
         prog="plucker-lab",
         description="exact plane-curve invariants, projective symmetries and branch-curve arithmetic",

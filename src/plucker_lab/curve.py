@@ -9,7 +9,6 @@ found" from "none found among scalar-resolvable points".
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -561,86 +560,6 @@ def expected_class(d: int, records) -> int:
     return m
 
 
-def _reduce(p: dict, lead, tail) -> dict:
-    """p (exponent -> scalar, homogeneous) reduced in place modulo f:
-    every monomial divisible by f's leading monomial lead is rewritten by
-    x^lead = sum of tail, largest first.  The tail is lex-smaller than
-    lead, so each rewrite only touches smaller monomials."""
-    l0, l1, l2 = lead
-    heap = [(-e[0], -e[1], -e[2]) for e in p if e[0] >= l0 and e[1] >= l1 and e[2] >= l2]
-    heapq.heapify(heap)
-    while heap:
-        n0, n1, n2 = heapq.heappop(heap)
-        c = p.pop((-n0, -n1, -n2), None)
-        if c is None:  # a duplicate entry, or cancelled meanwhile
-            continue
-        q0, q1, q2 = -n0 - l0, -n1 - l1, -n2 - l2
-        for (t0, t1, t2), tc in tail:
-            t = (q0 + t0, q1 + t1, q2 + t2)
-            s = p.get(t)
-            v = c * tc if s is None else s + c * tc
-            if v:
-                p[t] = v
-                if s is None and t[0] >= l0 and t[1] >= l1 and t[2] >= l2:
-                    heapq.heappush(heap, (-t[0], -t[1], -t[2]))
-            else:
-                del p[t]
-    return p
-
-
-def _times(p: dict, g: dict) -> dict:
-    """The product of two exponent -> scalar dicts."""
-    out = {}
-    for (a0, a1, a2), x in p.items():
-        for (b0, b1, b2), y in g.items():
-            e = (a0 + b0, a1 + b1, a2 + b2)
-            s = out.get(e)
-            out[e] = x * y if s is None else s + x * y
-    return {e: v for e, v in out.items() if v}
-
-
-def _axpy(v: dict, c, w: dict) -> None:
-    """v -= c * w, in place, dropping zeros."""
-    for k, x in w.items():
-        s = v.get(k)
-        if s is None:
-            v[k] = -(c * x)
-        else:
-            s = s - c * x
-            if s:
-                v[k] = s
-            else:
-                del v[k]
-
-
-def _kernel(columns) -> list:
-    """Basis of the kernel of the matrix with the given sparse columns
-    (row -> scalar dicts), as dicts column index -> scalar.
-
-    Columns are reduced one by one against the echelon basis of those
-    before; a column that reduces to zero yields the kernel vector its
-    tag (the combination of original columns it now is) records.
-    """
-    basis = []  # (pivot row, column normalized to 1 there, its tag)
-    kernel = []
-    for j, col in enumerate(columns):
-        v, tag = dict(col), {j: ONE}
-        for r, w, wt in basis:
-            c = v.get(r)
-            if c is not None:
-                _axpy(v, c, w)
-                _axpy(tag, c, wt)
-        if not v:
-            kernel.append(tag)
-            continue
-        r = min(v)
-        inv = v[r].inverse()
-        basis.append(
-            (r, {k: x * inv for k, x in v.items()}, {k: x * inv for k, x in tag.items()})
-        )
-    return kernel
-
-
 class DualKernelError(ValueError):
     """The linear system for the dual form of degree m has a kernel that
     is not one-dimensional (a non-reduced or line-containing input)."""
@@ -663,7 +582,10 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     ({f} is a Groebner basis of (f) for every term order), computed from
     the column of a neighbour alpha - e_i by one multiplication and one
     reduction.  A zero normal form is an exact proof of divisibility, so
-    the kernel vector is the certificate.  m is the predicted class when
+    the kernel vector is the certificate.  Columns and kernel are computed
+    over Z[rho] on int pairs (_zrho.times, reduce and the fraction-free
+    _zrho.kernel), each column with a rational scale; the kernel vector is
+    unscaled at the end.  m is the predicted class when
     the singular locus is complete and classified; otherwise the least m
     <= d(d-1) with a nonzero kernel.  A kernel that is not 1-dimensional
     raises DualKernelError.  A curve whose Hessian vanishes identically
@@ -682,19 +604,26 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
         m_expected = expected_class(d, records) if locus.complete else None
     except ValueError:
         m_expected = None
-    # x^lead = tail modulo f
-    lead, lc = c.equation.leading_term()
-    scale = -lc.constant_value().inverse()
-    tail = [
-        (e, cf.constant_value() * scale)
-        for e, cf in c.equation.terms.items()
-        if e != lead
-    ]
+    # over Z[rho]: f cleared of denominators, its gradient, and
+    # n*x^lead = tail modulo f with n the norm of the leading coefficient
+    lead, _ = c.equation.leading_term()
+    pairs, _ = _zrho.clear([cf.constant_value() for cf in c.equation.terms.values()])
+    f = dict(zip(c.equation.terms, pairs))
     grads = [
-        {e: cf.constant_value() for e, cf in g.terms.items()} for g in c.partials()
+        {e[:i] + (e[i] - 1,) + e[i + 1 :]: (e[i] * a, e[i] * b) for e, (a, b) in f.items() if e[i]}
+        for i in range(3)
     ]
+    lc = f.pop(lead)
+    minus_conj = (lc[1] - lc[0], lc[1])  # lc * conj(lc) = N(lc)
+    tail = {e: _zrho.mul(x, minus_conj) for e, x in f.items()}
+    n = _zrho.norm(lc)
+    g = math.gcd(n, _zrho.content(tail))
+    tail, n = list(_zrho.divide(tail, g).items()), n // g
+    # column alpha is the normal form of grad(f)^alpha, kept as (r, u, k)
+    # with r a form over Z[rho]: the normal form is r * u / n^k, up to a
+    # factor common to every column of degree m
     top = d * (d - 1) if m_expected is None else m_expected
-    columns = {(0, 0, 0): {(0, 0, 0): ONE}}
+    columns = {(0, 0, 0): ({(0, 0, 0): (1, 0)}, 1, 0)}
     for m in range(1, top + 1):
         prev, columns = columns, {}
         for a in range(m, -1, -1):
@@ -702,20 +631,30 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
                 alpha = (a, b, m - a - b)
                 i = next(k for k in range(3) if alpha[k])
                 below = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-                columns[alpha] = _reduce(_times(prev[below], grads[i]), lead, tail)
+                r, u, k = prev[below]
+                r, k_new = _zrho.reduce(_zrho.times(r, grads[i]), lead, tail, n)
+                if k_new:
+                    g = _zrho.content(r)
+                    if g > 1:
+                        r, u = _zrho.divide(r, g), u * g
+                columns[alpha] = (r, u, k + k_new)
         if m_expected is not None and m < m_expected:
             continue
-        kernel = _kernel(list(columns.values()))
+        kernel = _zrho.kernel([r for r, _, _ in columns.values()])
         if kernel:
             break
     else:
         raise DualKernelError(top, 0)
     if len(kernel) != 1:
         raise DualKernelError(m, len(kernel))
-    alphas = list(columns)
-    dual = MultiPoly._raw(
-        out_vars, {alphas[j]: LambdaPoly((x,)) for j, x in kernel[0].items()}
-    )
+    # a kernel vector v of the forms r gives the kernel vector with
+    # entries v_j * n^k / u of the normal forms
+    alphas, scales = list(columns), [(u, k) for _, u, k in columns.values()]
+    terms = {}
+    for j, (a, b) in kernel[0].items():
+        u, k = scales[j]
+        terms[alphas[j]] = LambdaPoly((EisensteinScalar._raw(a * n**k, b * n**k, u),))
+    dual = MultiPoly._raw(out_vars, terms)
     return PlaneCurve(normalize_leading(dual))
 
 

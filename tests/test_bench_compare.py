@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,29 @@ def test_src_lines_counts_the_package_sources_like_wc(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (pkg / "sub" / "c.py").write_text("not counted either\n")
     assert bench_compare.src_lines(tmp_path) == 4
+
+
+def _canned_output(correct=True, trace=0):
+    """The last three lines of a perfbench run, shaped like run.py's."""
+    record = {"workload": "special-sweep", "seed": 1, "trace": trace, "pass_size": 20,
+              "error_rate": 0.0, "undecided_rate": 0.05, "errors": [] if correct else ["boom"],
+              "env": {"src_sha256": "ab" * 32, "python": "3.11.7"}}
+    metrics = {"pass_s": {"value": 0.31, "unit": "s"}}
+    if trace:
+        metrics["ops.error_rate"] = {"value": 0.0, "unit": "ratio"}
+        metrics["ops.undecided_rate"] = {"value": 0.05, "unit": "ratio"}
+    result = {"correct": correct, "attempted": 21, "failed": 0 if correct else 1,
+              "metrics": metrics}
+    return "pass_s  0.31 s\n%s\n%s\n" % (json.dumps(record), json.dumps(result))
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_read_output_takes_the_rates_from_the_record_line(trace):
+    metrics, digest = bench_compare.read_output(_canned_output(trace=trace), "here")
+    assert metrics == {"pass_s": 0.31, "ops.error_rate": 0.0, "ops.undecided_rate": 0.05}
+    assert digest == "ab" * 32
+
+
+def test_read_output_rejects_a_run_with_failed_ops():
+    with pytest.raises(RuntimeError, match="1 of 21 ops failed"):
+        bench_compare.read_output(_canned_output(correct=False), "here")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from plucker_lab import cli
 from plucker_lab.cli import build_parser, main
 from plucker_lab.polynomials import bl2_sextic, render_poly
 
@@ -27,6 +28,40 @@ def run(capsys, argv):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+
+    def calls(out):
+        return [
+            ["plucker", "solve", "--g", "1", "--m", "6"],  # no --d: exit 2
+            ["--version"],
+            ["curve", "analyze", "--format", "json", CUSPIDAL],
+            ["curve", "dual", "x0^3 - x1^3"],  # concurrent lines: exit 2
+            ["scenario", "special", "--lambda=2"],
+            ["chow", "report", "--d", "3", "--out", str(out)],
+            ["chow", "report", "--d", "3"],  # --out must not carry over
+        ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [outcome(argv) for argv in calls(tmp_path / "reused.txt")]
+    # the same calls, each through a parser built afresh
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [outcome(argv) for argv in calls(tmp_path / "fresh.txt")]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0, 0, 0]
+    assert "--d" in reused[0][2] and reused[1][1].startswith("plucker-lab ")
+    assert reused[5][1] == "" and reused[6][1] != ""
+    assert (tmp_path / "reused.txt").read_text() == (tmp_path / "fresh.txt").read_text()
+    assert (tmp_path / "reused.txt").read_text() == reused[6][1]
 
 
 def test_version_flag(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from plucker_lab import corpus, curve, polynomials
+import dual_oracle
+from plucker_lab import _zrho, corpus, curve, polynomials
 from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar
 from plucker_lab.polynomials import (
     U_VARS,
@@ -168,6 +170,7 @@ def test_node_with_eisenstein_tangents():
 
 _fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 _scalars = st.builds(EisensteinScalar, _fractions, _fractions)
+_pairs = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
 
 
 @st.composite
@@ -450,15 +453,18 @@ def test_reduce_gives_the_normal_form_modulo_f(c, data):
     d = c.degree
     n = data.draw(st.integers(d, 2 * d))
     exps = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda e: sum(e) <= n)
-    terms = data.draw(st.dictionaries(exps, _scalars.filter(bool), min_size=1, max_size=6))
+    terms = data.draw(st.dictionaries(exps, _pairs.filter(any), min_size=1, max_size=6))
     p = {(a, b, n - a - b): x for (a, b), x in terms.items()}
-    lead, lc = c.equation.leading_term()
-    scale = -lc.constant_value().inverse()
-    tail = [(e, x.constant_value() * scale) for e, x in c.equation.terms.items() if e != lead]
-    nf = curve._reduce(dict(p), lead, tail)
+    lead, tail = dual_oracle.rewrite_rule(c.equation)
+    pairs, den = _zrho.clear([x for _, x in tail])  # den*x^lead = pairs modulo f
+    nf, k = _zrho.reduce(dict(p), lead, [(e, x) for (e, _), x in zip(tail, pairs)], den)
     assert not any(all(a >= b for a, b in zip(e, lead)) for e in nf)
-    diff = MultiPoly(X_VARS, p) - MultiPoly(X_VARS, nf)
-    diff.exact_div(c.equation)  # raises unless p - nf is a multiple of f
+    scaled = {e: EisensteinScalar(a * den**k, b * den**k) for e, (a, b) in p.items()}
+    nf_poly = MultiPoly(X_VARS, {e: EisensteinScalar(a, b) for e, (a, b) in nf.items()})
+    (MultiPoly(X_VARS, scaled) - nf_poly).exact_div(c.equation)  # raises unless a multiple of f
+    # the normal form modulo f is unique: den^k times the oracle's
+    want = dual_oracle.reduce({e: EisensteinScalar(*x) for e, x in p.items()}, lead, tail)
+    assert nf_poly == MultiPoly(X_VARS, want).scale(EisensteinScalar(den**k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,8 +480,18 @@ def test_kernel_matches_sympy_rank(shape, data):
     if data.draw(st.booleans()) and cols > 1:  # force a dependent column
         matrix = [row + [row[0] * 2 - row[-1]] for row in matrix]
         cols += 1
-    columns = [{r: matrix[r][j] for r in range(rows) if matrix[r][j]} for j in range(cols)]
-    kernel = curve._kernel(columns)
+    # column j over Z[rho]: the scalars of column j times their common
+    # denominator den_j, so a kernel vector k' of these columns gives the
+    # kernel vector k_j = den_j * k'_j of the matrix
+    columns, dens = [], []
+    for j in range(cols):
+        pairs, den = _zrho.clear([matrix[r][j] for r in range(rows)])
+        columns.append({r: x for r, x in enumerate(pairs) if any(x)})
+        dens.append(den)
+    kernel = [
+        {j: EisensteinScalar(a * dens[j], b * dens[j]) for j, (a, b) in vec.items()}
+        for vec in _zrho.kernel(columns)
+    ]
     for vec in kernel:
         for r in range(rows):
             assert sum((matrix[r][j] * x for j, x in vec.items()), ZERO) == ZERO
@@ -489,9 +505,16 @@ def test_kernel_matches_sympy_rank(shape, data):
                 [[a, -b], [b, a - b]]
             )
     assert 2 * len(kernel) == 2 * cols - blocks.rank()
-    # each vector ends in its own column with coefficient 1: independent
-    assert len({max(vec) for vec in kernel}) == len(kernel)
-    assert all(vec[max(vec)] == ONE for vec in kernel)
+    # vector by vector the oracle's up to scale: each is the dependency of
+    # its last column on the independent columns before it
+    oracle = dual_oracle.kernel(
+        [{r: matrix[r][j] for r in range(rows) if matrix[r][j]} for j in range(cols)]
+    )
+    assert len(oracle) == len(kernel)
+    for vec, want in zip(kernel, oracle):
+        top = max(vec)
+        assert max(want) == top and want[top] == ONE
+        assert {j: x / vec[top] for j, x in vec.items()} == want
 
 
 def _certify(dual, c):
@@ -539,11 +562,53 @@ def _moved_dual_agrees(text, m):
     assert proportional(dual.equation, want)
 
 
-def test_dual_of_invertible_image_of_fermat_cubic():
+# The largest int the dual's elimination may produce on the dense images
+# below; it peaks at 434 bits on them.  Without the conjugate-pivot step
+# of _zrho.kernel it passes 10000 bits on the three seeded images, whose
+# duals then do not finish in a minute.
+_ELIMINATION_BITS = 1024
+
+
+def _dense_dual_agrees(m, monkeypatch):
+    """_moved_dual_agrees on the Fermat cubic under m, the dual equal to
+    the oracle's, and no entry of the elimination above _ELIMINATION_BITS."""
+    combine = _zrho._combine
+
+    def bounded(v, mult, c, w):
+        out = combine(v, mult, c, w)
+        bits = max((abs(x).bit_length() for pair in out.values() for x in pair), default=0)
+        assert bits <= _ELIMINATION_BITS, "coefficient growth: %d bits" % bits
+        return out
+
+    monkeypatch.setattr(_zrho, "_combine", bounded)
+    _moved_dual_agrees(FERMAT, m)
+    moved = PlaneCurve(parse_poly(FERMAT, X_VARS).substitute(_linear_images(m, X_VARS)))
+    assert dual_curve(moved).equation == dual_oracle.dual(moved, 6)
+
+
+def test_dual_of_invertible_image_of_fermat_cubic(monkeypatch):
     # (x0 + x1)^3 + (x1 + x2)^3 + (x0 + x2)^3, whose dual once hung in the
     # multivariate gcd of an elimination dual
     m = [[EisensteinScalar(x) for x in row] for row in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
-    _moved_dual_agrees(FERMAT, m)
+    _dense_dual_agrees(m, monkeypatch)
+
+
+def _unit_matrices(seed, count):
+    """count invertible 3x3 matrices with entries a + b*rho, a, b in
+    {-1, 0, 1}, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = [[EisensteinScalar(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(3)]
+             for _ in range(3)]
+        if sum((m[0][k] * _cofactors(m)[0][k] for k in range(3)), ZERO):
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("m", _unit_matrices(5, 3), ids=["image0", "image1", "image2"])
+def test_dual_of_dense_images_of_fermat_cubic(m, monkeypatch):
+    _dense_dual_agrees(m, monkeypatch)
 
 
 _unit_entries = st.builds(

@@ -12,7 +12,9 @@ same interpreter; even pairs run the parent first and odd pairs the
 change first, so that drift of the host's speed falls on both sides.
 
 Each side records its sha, the digest of its sources and ``src_lines``,
-the line count of src/plucker_lab/*.py.  For every metric the output
+the line count of src/plucker_lab/*.py.  The metrics of a run are those
+of its result line plus the error and undecided rates of its record line
+(``ops.error_rate``, ``ops.undecided_rate``).  For every metric the output
 records each side's values, median and quartiles, the pairs the change
 won (ties count for neither) and whether a gain is shown: the change
 wins at least nine tenths of the pairs and the medians differ, in the
@@ -109,12 +111,23 @@ def run_bench(root, args):
                           timeout=10 * args.seconds + 600)
     if proc.returncode != 0:
         raise RuntimeError("%s failed (%d): %s" % (" ".join(cmd), proc.returncode, proc.stderr[-2000:]))
-    lines = proc.stdout.strip().splitlines()
+    return read_output(proc.stdout, root)
+
+
+def read_output(stdout, root):
+    """(metrics, src_sha256) from the stdout of one perfbench run.
+
+    The metrics are the result line's, plus ``ops.error_rate`` and
+    ``ops.undecided_rate`` from the record line before it, which carries
+    them also when the run is not traced."""
+    lines = stdout.strip().splitlines()
     record, result = json.loads(lines[-2]), json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError("%s: %d of %d ops failed: %s" % (
             root, result["failed"], result["attempted"], record.get("errors")))
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics["ops.error_rate"] = record["error_rate"]
+    metrics["ops.undecided_rate"] = record["undecided_rate"]
     return metrics, record["env"]["src_sha256"]
 
 
