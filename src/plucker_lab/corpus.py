@@ -149,10 +149,7 @@ def _family_obstructions():
         search = lambda_roots(ob)
         exceptional.update(r for r, _ in search.roots)
         unresolved += len(search.unresolved)
-    texts = sorted(
-        (str(r) for r in exceptional),
-        key=lambda s: scalar_sort_key(parse_scalar(s)),
-    )
+    texts = [str(r) for r in sorted(exceptional, key=scalar_sort_key)]
     return tuple(rows), tuple(texts), unresolved
 
 

@@ -194,106 +194,82 @@ class PlaneCurve:
 # Common zeros of polynomial systems, chart by chart
 
 
-def _gcd_scalar_univariate(polys, var: str) -> LambdaPoly:
+_POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
+
+
+def _affine_zeros(polys, names, notes, at=()):
+    """Common zeros of lambda-free polys in the variables names (at most
+    two; every other variable is specialized already), as tuples of
+    values in the order of names.  Returns (zeros, complete).
+
+    Elimination and back-substitution (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 3): the values of the first variable
+    are the roots of the gcd of the polys, or, with a second variable
+    left, of their resultants in it against the poly of least degree in
+    it.  Each value is substituted back and the rest solved by recursion,
+    so every zero is checked exactly on the polys themselves once no
+    variable is left.  at holds the (name, value) pairs substituted so
+    far, for the notes.
+    """
+    live = [p for p in polys if not p.is_zero()]
+    if any(p.is_constant() for p in live):
+        return [], True
+    if not names:
+        return [()], True
+    u, *rest = names
+    cons = live
+    if rest:
+        v = rest[0]
+        with_v = sorted(
+            (p for p in live if p.degree_in(v)),
+            key=lambda p: (p.degree_in(v), len(p.terms)),
+        )
+        elim = (resultant(with_v[0], q, v) for q in with_v[1:])
+        cons = [p for p in live if not p.degree_in(v)]
+        cons += [r for r in elim if not r.is_zero()]
+    if not cons:
+        if _POSITIVE_DIMENSIONAL not in notes:
+            notes.append(_POSITIVE_DIMENSIONAL)
+        return [], False
     g = LambdaPoly(())
-    for p in polys:
-        g = g.gcd(as_scalar_univariate(p, var))
-    return g
-
-
-def _solve_line(polys, var, notes):
-    """Common zeros of one-variable polynomials; yields (values, complete)."""
-    live = [p for p in polys if not p.is_zero()]
-    if not live:
-        notes.append("system vanishes identically on a chart line")
-        return [], False
-    if any(p.is_constant() for p in live):
-        return [], True
-    g = _gcd_scalar_univariate(live, var)
+    for p in cons:
+        g = g.gcd(as_scalar_univariate(p, u))
     if g.is_constant():
         return [], True
     rs = lambda_roots(g)
     if rs.unresolved:
         notes.append(
-            "unresolved degree-%d factor in %s"
-            % (rs.unresolved[0].degree, var)
+            "unresolved degree-%d factor in %s%s"
+            % (rs.unresolved[0].degree, u, "".join(" at %s = %s" % b for b in at))
         )
-    return list(rs.values), rs.complete
-
-
-def _solve_plane(polys, va, vb, notes):
-    """Common zeros of a 2-variable system; yields ((a,b) pairs, complete)."""
-    live = [p for p in polys if not p.is_zero()]
-    complete = True
-    if not live:
-        notes.append("system vanishes identically on a chart")
-        return [], False
-    if any(p.is_constant() for p in live):
-        return [], True
-    with_b = [p for p in live if p.degree_in(vb) > 0]
-    b_free = [p for p in live if p.degree_in(vb) == 0]
-    if not with_b:
-        # nothing pins vb: solutions come in vertical lines
-        notes.append("solution set is one-dimensional in a chart")
-        return [], False
-    elim = list(b_free)
-    if len(with_b) == 1 and not b_free:
-        notes.append("underdetermined system in a chart")
-        return [], False
-    with_b.sort(key=lambda p: (p.degree_in(vb), len(p.terms)))
-    base = with_b[0]
-    for q in with_b[1:]:
-        r = resultant(base, q, vb)
-        if not r.is_zero():
-            elim.append(r)
-    if not elim:
-        notes.append("shared positive-degree component while eliminating %s" % vb)
-        return [], False
-    g = _gcd_scalar_univariate(elim, va)
-    if g.is_zero():
-        notes.append("elimination left no constraint on %s" % va)
-        return [], False
-    if g.is_constant():
-        return [], True
-    rs = lambda_roots(g)
-    if rs.unresolved:
-        notes.append(
-            "unresolved degree-%d factor in %s"
-            % (rs.unresolved[0].degree, va)
-        )
-    complete = rs.complete
-    pairs = []
+    zeros, complete = [], rs.complete
     for a in rs.values:
-        at_a = [p.specialize(va, a) for p in live]
-        nz = [p for p in at_a if not p.is_zero()]
-        if not nz:
-            notes.append("whole line %s = %s solves the system" % (va, a))
-            complete = False
-            continue
-        if any(p.is_constant() for p in nz):
-            continue
-        h = _gcd_scalar_univariate(nz, vb)
-        if h.is_constant():
-            continue
-        rs2 = lambda_roots(h)
-        if rs2.unresolved:
-            complete = False
-            notes.append(
-                "unresolved degree-%d factor in %s at %s = %s"
-                % (rs2.unresolved[0].degree, vb, va, a)
-            )
-        for b in rs2.values:
-            if all(p.specialize(vb, b).is_zero() for p in at_a):
-                pairs.append((a, b))
-    return pairs, complete
+        tails, ok = _affine_zeros(
+            [p.specialize(u, a) for p in live], rest, notes, at + ((u, a),)
+        )
+        complete &= ok
+        zeros.extend((a,) + t for t in tails)
+    return zeros, complete
+
+
+def _chart(p: MultiPoly, k: int) -> MultiPoly:
+    """p at x_k = 1 and x_j = 0 for j < k."""
+    out = {}
+    for exp, c in p.terms.items():
+        if not any(exp[:k]):
+            e = (0,) * (k + 1) + exp[k + 1 :]
+            out[e] = out[e] + c if e in out else c
+    return MultiPoly._raw(p.vars, {e: c for e, c in out.items() if c})
 
 
 def projective_common_zeros(polys):
     """All common projective zeros with Eisenstein-rational coordinates.
 
-    Works through the disjoint charts x0=1, then x0=0 & x1=1, then the
-    point (0:0:1).  Returns (points, complete, notes); complete goes
-    false when lambda_roots leaves a factor of degree > 2 unresolved.
+    Works through the disjoint charts x_k = 1, x_j = 0 for j < k
+    (k = 0, 1, 2), each by _affine_zeros.  Returns (points, complete,
+    notes); complete goes false when lambda_roots leaves a factor of
+    degree > 2 unresolved or a chart has a positive-dimensional solution
+    set.
     """
     if not polys:
         raise ValueError("empty polynomial system")
@@ -307,25 +283,15 @@ def projective_common_zeros(polys):
             raise LambdaSymbolicError(
                 "lambda is still symbolic; specialize it first"
             )
-    v0, v1, v2 = variables
     notes: list = []
     points = []
     complete = True
-
-    chart0 = [p.specialize(v0, 1) for p in polys]
-    pairs, ok = _solve_plane(chart0, v1, v2, notes)
-    complete &= ok
-    points.extend(ProjectivePoint([ONE, a, b]) for a, b in pairs)
-
-    chart1 = [p.specialize(v0, 0).specialize(v1, 1) for p in polys]
-    vals, ok = _solve_line(chart1, v2, notes)
-    complete &= ok
-    points.extend(ProjectivePoint([ZERO, ONE, b]) for b in vals)
-
-    origin = [ZERO, ZERO, ONE]
-    if all(p.evaluate(origin).is_zero() for p in polys):
-        points.append(ProjectivePoint(origin))
-
+    for k in range(3):
+        zeros, ok = _affine_zeros(
+            [_chart(p, k) for p in polys], variables[k + 1 :], notes
+        )
+        complete &= ok
+        points.extend(ProjectivePoint((ZERO,) * k + (ONE,) + z) for z in zeros)
     unique = sorted(set(points), key=ProjectivePoint.sort_key)
     return unique, complete, notes
 
@@ -483,16 +449,19 @@ class FlexSearch:
     notes: tuple = ()
 
 
+def det3(rows):
+    """Determinant of a 3x3 matrix over any ring (scalars or polynomials),
+    by cofactors along the first row."""
+    a, b, c = rows[0]
+    d, e, f = rows[1]
+    g, h, i = rows[2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def hessian(c: PlaneCurve) -> MultiPoly:
     v = c.vars
-    rows = [
-        [c.equation.partial_derivative(a).partial_derivative(b) for b in v]
-        for a in v
-    ]
-    return (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+    return det3(
+        [[c.equation.partial_derivative(a).partial_derivative(b) for b in v] for a in v]
     )
 
 
@@ -531,9 +500,6 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
         notes.append("flex count went negative; input likely reducible")
         total = 0
         complete = False
-    if d == 2:
-        # a smooth conic has constant Hessian: no flexes, nothing to solve
-        return FlexSearch((), 0, complete, tuple(notes))
     pts, ok, zero_notes = projective_common_zeros([c.equation, h])
     notes.extend(zero_notes)
     complete &= ok
@@ -573,6 +539,18 @@ class DualKernelError(ValueError):
         self.dimension = dimension
 
 
+def _int_gradient(c: PlaneCurve):
+    """The equation cleared of denominators over Z[rho] and its three
+    partials, as sparse forms exponent -> pair."""
+    pairs, _ = _zrho.clear([cf.constant_value() for cf in c.equation.terms.values()])
+    f = dict(zip(c.equation.terms, pairs))
+    grads = [
+        {e[:i] + (e[i] - 1,) + e[i + 1 :]: (e[i] * a, e[i] * b) for e, (a, b) in f.items() if e[i]}
+        for i in range(3)
+    ]
+    return f, grads
+
+
 def dual_curve(c: PlaneCurve) -> PlaneCurve:
     """The curve of tangent lines, as an equation in dual coordinates.
 
@@ -590,9 +568,12 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     <= d(d-1) with a nonzero kernel.  A kernel that is not 1-dimensional
     raises DualKernelError.  A curve whose Hessian vanishes identically
     (a rank-2 conic, concurrent lines) raises DegenerateHessianError
-    first.
+    first: by Gordan and Noether (Math. Ann. 10, 1876) a ternary form has
+    an identically zero Hessian exactly when its partials are linearly
+    dependent, which the same kernel decides.
     """
-    if hessian(c).is_zero():
+    f, grads = _int_gradient(c)
+    if _zrho.kernel(grads):
         raise DegenerateHessianError(
             "identically-zero Hessian: the curve is a union of concurrent "
             "lines and has no dual curve"
@@ -604,15 +585,8 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
         m_expected = expected_class(d, records) if locus.complete else None
     except ValueError:
         m_expected = None
-    # over Z[rho]: f cleared of denominators, its gradient, and
     # n*x^lead = tail modulo f with n the norm of the leading coefficient
     lead, _ = c.equation.leading_term()
-    pairs, _ = _zrho.clear([cf.constant_value() for cf in c.equation.terms.values()])
-    f = dict(zip(c.equation.terms, pairs))
-    grads = [
-        {e[:i] + (e[i] - 1,) + e[i + 1 :]: (e[i] * a, e[i] * b) for e, (a, b) in f.items() if e[i]}
-        for i in range(3)
-    ]
     lc = f.pop(lead)
     minus_conj = (lc[1] - lc[0], lc[1])  # lc * conj(lc) = N(lc)
     tail = {e: _zrho.mul(x, minus_conj) for e, x in f.items()}

@@ -21,14 +21,7 @@ from .scalars import (
     scalar_sort_key,
 )
 from .polynomials import MultiPoly, X_VARS, quadratic_map
-from .curve import ProjectivePoint
-
-
-def _det3(rows):
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+from .curve import ProjectivePoint, det3
 
 
 def _adjugate(rows):
@@ -40,6 +33,15 @@ def _adjugate(rows):
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
+
+
+def _linear_form(row, variables) -> MultiPoly:
+    """The linear form sum_i row[i] * variables[i]."""
+    form = MultiPoly.zero(variables)
+    for coeff, name in zip(row, variables):
+        if coeff:
+            form = form + MultiPoly.variable(variables, name).scale(coeff)
+    return form
 
 
 class ProjectiveTransform:
@@ -66,7 +68,7 @@ class ProjectiveTransform:
             raise ValueError("the zero matrix is not a transform")
         inv = pivot.inverse()
         rs = tuple(tuple(c * inv for c in row) for row in rs)
-        if not _det3(rs):
+        if not det3(rs):
             raise ValueError("transform matrix is singular")
         object.__setattr__(self, "rows", rs)
 
@@ -105,7 +107,7 @@ class ProjectiveTransform:
     def determinant(self) -> EisensteinScalar:
         """Determinant of the stored representative.  Only its nonzero-ness
         is projectively meaningful."""
-        return _det3(self.rows)
+        return det3(self.rows)
 
     def inverse(self) -> "ProjectiveTransform":
         # adj(M) * M = det(M) * I, so the adjugate is the projective inverse
@@ -143,15 +145,7 @@ class ProjectiveTransform:
         on c."""
         if c.arity != 3:
             raise ValueError("the group acts on curves in 3 variables")
-        inv = self.inverse()
-        images = []
-        for row in inv.rows:
-            form = MultiPoly.zero(c.vars)
-            for coeff, name in zip(row, c.vars):
-                if coeff:
-                    form = form + MultiPoly.variable(c.vars, name).scale(coeff)
-            images.append(form)
-        return c.substitute(images)
+        return c.substitute([_linear_form(row, c.vars) for row in self.inverse().rows])
 
     def as_rows(self):
         return [[str(c) for c in row] for row in self.rows]
@@ -265,13 +259,7 @@ def _cross(a, b):
 def fixed_locus() -> FixedLocus:
     rp = (ONE, RHO, RHO * RHO)
     coeffs = _line_coefficients()
-    lines = []
-    for a in coeffs:
-        form = MultiPoly.zero(X_VARS)
-        for c, name in zip(a, X_VARS):
-            if c:
-                form = form + MultiPoly.variable(X_VARS, name).scale(c)
-        lines.append(form)
+    lines = [_linear_form(a, X_VARS) for a in coeffs]
     points = []
     for i in range(3):
         points.append(ProjectivePoint((ONE, -rp[i], ZERO)))

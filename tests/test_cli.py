@@ -92,6 +92,18 @@ def test_curve_analyze_json(capsys):
     assert data["geometric_genus"] == 0
 
 
+def test_curve_analyze_keeps_the_unresolved_factor_notes(capsys):
+    code, out, _ = run(
+        capsys, ["curve", "analyze", "x0^4 + x1^4 + x2^4", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["notes"] == [
+        "unresolved degree-8 factor in x1",
+        "unresolved degree-4 factor in x2 at x1 = 0",
+        "unresolved degree-4 factor in x2",
+    ]
+
+
 def test_curve_analyze_with_lambda(capsys):
     code, out, _ = run(
         capsys,

@@ -122,6 +122,37 @@ def test_singular_locus_of_corpus():
         assert set(locus.points) == expect
 
 
+@pytest.mark.parametrize(
+    "text", ["x0*x1*(x0 - x1)", "x0*x1*(x0 + x1)*(x0 - 2*x1)"]
+)
+def test_singular_locus_of_concurrent_lines_is_complete(text):
+    # the partials do not involve x2, and in the chart x0 = 1 they have no
+    # common zero: the lines meet only at (0:0:1)
+    locus = singular_locus(_curve(text))
+    assert locus.points == (ProjectivePoint((0, 0, 1)),)
+    assert locus.complete
+    assert locus.notes == ()
+
+
+@pytest.mark.parametrize(
+    "text, part",
+    [
+        ("(x0*x2 - x1^2)^2", "locus"),  # every point of the conic is singular
+        ("x0^2*x1", "locus"),  # so is every point of the line x0 = 0
+        ("x0*x1*x2", "flexes"),  # the Hessian contains the curve
+        ("(x0 - x1)*(x0^2 + x1^2 - x2^2)", "flexes"),  # it contains x0 = x1
+    ],
+)
+def test_positive_dimensional_systems_stay_incomplete(text, part):
+    report = analysis_report(_curve(text))
+    if part == "locus":
+        assert report["singular_locus_complete"] is False
+    else:
+        assert report["singular_locus_complete"] is True
+        assert report["flexes"]["complete"] is False
+    assert curve._POSITIVE_DIMENSIONAL in report["notes"]
+
+
 def test_classify_node():
     rec = classify_singularity(_curve(NODAL), ProjectivePoint((0, 0, 1)))
     assert rec.kind == KIND_NODE
@@ -644,6 +675,39 @@ def test_dual_of_a_double_conic_has_no_unique_kernel():
     # every quadratic form G has q^2 | G(grad q^2) = 4 q^2 G(grad q)
     assert (exc.value.degree, exc.value.dimension) == (2, 6)
     assert isinstance(exc.value, ValueError)
+
+
+@st.composite
+def _forms_under_unit_matrices(draw):
+    """A binary form in x0, x1 (a cone) or a ternary form, moved by
+    x -> m x for a matrix m with entries a + b*rho, a, b in {-1, 0, 1};
+    a singular m makes a cone of any form."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        exps = st.integers(0, d).map(lambda a: (a, d - a, 0))
+    else:
+        exps = st.tuples(st.integers(0, d), st.integers(0, d)).filter(
+            lambda e: sum(e) <= d
+        ).map(lambda e: (e[0], e[1], d - e[0] - e[1]))
+    terms = draw(st.dictionaries(exps, _scalars.filter(bool), min_size=1, max_size=6))
+    entries = draw(st.lists(_unit_entries, min_size=9, max_size=9))
+    m = [entries[3 * r : 3 * r + 3] for r in range(3)]
+    image = MultiPoly(X_VARS, terms).substitute(_linear_images(m, X_VARS))
+    assume(not image.is_zero())
+    return PlaneCurve(image)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=_forms_under_unit_matrices())
+@example(c=_curve(FERMAT))
+@example(c=_curve("x0^3 - x1^3"))
+@example(c=_curve("x0^2"))
+@example(c=_curve("x0*x1*(x0 - x1)"))
+def test_dependent_partials_decide_a_zero_hessian(c):
+    # Gordan-Noether: a ternary form has an identically zero Hessian
+    # exactly when its partials are linearly dependent
+    _, grads = curve._int_gradient(c)
+    assert bool(_zrho.kernel(grads)) == hessian(c).is_zero()
 
 
 def test_dual_rejects_identically_zero_hessian():
