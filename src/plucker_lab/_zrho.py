@@ -4,8 +4,9 @@ An element a + b*rho of Z[rho] is an (a, b) pair of ints, with
 rho^2 = -1 - rho.  A polynomial over Z[rho] in one variable is a list of
 pairs, lowest degree first, with no trailing (0, 0) ([] is zero); a
 binary form of degree n is the list of its coefficients of s^u t^(n-u),
-u = 0..n.  A polynomial over F_p is a list of ints, lowest power first,
-with no trailing zeros.
+u = 0..n.  Mod p^k a polynomial is a list of ints, lowest power first,
+that is only ever evaluated: its roots mod p are found by trying every
+residue.
 
 The integer kernels of the package run on this format: the Bareiss
 recurrence of the chart resultants, the Taylor jets of the singularity
@@ -271,84 +272,15 @@ def kernel(columns):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p and p-adic roots
+# p-adic roots
 
 
-def _fp_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list, b: list, p: int):
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], rem
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * (len(rem) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db] * inv_lead % p
-        quot[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bc) % p
-    return quot, _fp_trim(rem[:db])
-
-
-def _fp_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd of two polynomials over F_p."""
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    inv_lead = pow(a[-1], -1, p)
-    return [c * inv_lead % p for c in a]
-
-
-def _fp_mulmod(a: list, b: list, m: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _fp_divmod([c % p for c in out], m, p)[1]
-
-
-def _fp_powmod(a: list, e: int, m: list, p: int) -> list:
-    result = [1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, a, m, p)
-        a = _fp_mulmod(a, a, m, p)
-        e >>= 1
-    return result
-
-
-def _fp_squarefree(f: list, p: int) -> bool:
-    df = _fp_trim([k * c % p for k, c in enumerate(f) if k])
-    return bool(df) and len(_fp_gcd(f, df, p)) == 1
-
-
-def _fp_split(h: list, p: int) -> list:
-    """Roots of a monic product of distinct linear factors (Cantor-Zassenhaus
-    with the shifts 0, 1, 2, ...: for any two distinct roots some shift s
-    makes exactly one of root + s a nonzero square, so the loop splits h)."""
-    if len(h) <= 2:
-        return [-h[0] % p] if len(h) == 2 else []
-    for s in range(p):
-        w = _fp_powmod([s, 1], (p - 1) // 2, h, p) or [0]
-        w[0] = (w[0] - 1) % p
-        d = _fp_gcd(h, _fp_trim(w), p)
-        if 1 < len(d) < len(h):
-            return _fp_split(d, p) + _fp_split(_fp_divmod(h, d, p)[0], p)
-    raise AssertionError("no shift splits %s mod %d" % (h, p))
-
-
-def _fp_roots(f: list, p: int) -> list:
-    """Distinct roots in F_p of f: gcd(f, x^p - x), then split it."""
-    xp = _fp_powmod([0, 1], p, f, p) + [0, 0]
-    xp[1] = (xp[1] - 1) % p
-    return sorted(_fp_split(_fp_gcd(f, _fp_trim(xp), p), p))
+def _horner(f: list, u: int, m: int) -> int:
+    """f(u) mod m, f a list of ints, lowest power first."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * u + c) % m
+    return acc
 
 
 def _hensel_lift(f: list, u: int, p: int, modulus: int) -> int:
@@ -357,12 +289,7 @@ def _hensel_lift(f: list, u: int, p: int, modulus: int) -> int:
     m = p
     while m < modulus:
         m = min(m * m, modulus)
-        fu = du = 0
-        for c in reversed(f):
-            fu = (fu * u + c) % m
-        for c in reversed(df):
-            du = (du * u + c) % m
-        u = (u - fu * pow(du, -1, m)) % m
+        u = (u - _horner(f, u, m) * pow(_horner(df, u, m), -1, m)) % m
     return u
 
 
@@ -389,7 +316,9 @@ def roots(cs, is_root):
             cubes = (pow(h, (p - 1) // 3, p) for h in range(2, p))
             r = next(x for x in cubes if x != 1)
             images = [[(a + b * s) % p for a, b in cs] for s in (r, p - 1 - r)]
-            if all(_fp_squarefree(f, p) for f in images):
+            zeros = [[u for u in range(p) if not _horner(f, u, p)] for f in images]
+            derivs = [[k * c for k, c in enumerate(f) if k] for f in images]
+            if all(_horner(df, u, p) for df, us in zip(derivs, zeros) for u in us):
                 break
         p += 6
     modulus = p
@@ -397,9 +326,9 @@ def roots(cs, is_root):
         modulus *= p
     big_r = _hensel_lift([1, 1, 1], r, p, modulus)
     lifted = []
-    for s, image in zip((big_r, -1 - big_r), images):
+    for s, us in zip((big_r, -1 - big_r), zeros):
         f = [(a + b * s) % modulus for a, b in cs]
-        lifted.append([_hensel_lift(f, u, p, modulus) for u in _fp_roots(image, p)])
+        lifted.append([_hensel_lift(f, u, p, modulus) for u in us])
     inv = pow(2 * big_r + 1, -1, modulus)  # R - R^2 = 2R + 1 (mod p^k)
     half = modulus // 2
     found = []

@@ -431,9 +431,8 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
     )
 
 
-def classified_singularities(c: PlaneCurve, locus: SingularLocus = None):
-    if locus is None:
-        locus = singular_locus(c)
+def classified_singularities(c: PlaneCurve):
+    locus = singular_locus(c)
     return tuple(classify_singularity(c, p) for p in locus.points), locus
 
 
@@ -505,7 +504,7 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
     complete &= ok
     sing_points = {rec.point for rec in records}
     flex_points = tuple(p for p in pts if p not in sing_points)
-    return FlexSearch(flex_points, total, complete, tuple(notes))
+    return FlexSearch(flex_points, total, complete, tuple(dict.fromkeys(notes)))
 
 
 # ---------------------------------------------------------------------------

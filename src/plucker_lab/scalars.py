@@ -463,8 +463,6 @@ class LambdaPoly:
 
 
 LAMBDA = LambdaPoly.lam()
-LP_ZERO = LambdaPoly(())
-LP_ONE = LambdaPoly((ONE,))
 
 
 def _scalar_factor_text(c: EisensteinScalar) -> str:
@@ -582,11 +580,14 @@ def lambda_roots(p: LambdaPoly) -> RootSearch:
 
     - g is scaled to Eisenstein-integer coefficients c_i, with leading
       coefficient lc and D = N(lc) = lc*conj(lc) > 0.
-    - The prime: the first p = 1 (mod 3) in 7, 13, 19, 31, ... that does
-      not divide D and keeps g squarefree under both maps rho -> r and
-      rho -> r^2 to F_p, where r is a cube root of unity mod p.
-    - The roots of each image in F_p come from gcd(g, x^p - x) split by
-      Cantor-Zassenhaus; each is Newton-lifted to p^k, and so is r (to R).
+    - The images: g under both maps rho -> r and rho -> r^2 to F_p, where
+      p = 1 (mod 3) and r is a cube root of unity mod p.  The roots of
+      each image are found by evaluating it at every residue u = 0..p-1.
+    - The prime: the first p in 7, 13, 19, 31, ... that does not divide D
+      and at which every root u of both images is simple, g'(u) != 0
+      (mod p).  Each such root is Newton-lifted to p^k, and so is r (to R).
+      The search ends: g is squarefree, so only the finitely many p that
+      divide the norm of its discriminant give an image a repeated root.
     - A pair u, v of lifted roots, one per map, gives b = (u - v)/(R - R^2)
       and a = u - b*R mod p^k; the candidate root is (D*a + D*b*rho)/D,
       with D*a and D*b taken as symmetric residues.  Candidates that do
@@ -595,9 +596,10 @@ def lambda_roots(p: LambdaPoly) -> RootSearch:
     Why no root is missed: a root alpha = a + b*rho of g makes lc*alpha an
     algebraic integer, hence an element of Z[rho], so D*alpha =
     conj(lc)*(lc*alpha) is in Z[rho] too: D*a and D*b are integers.  As
-    p does not divide D, alpha maps to a root of each image, which is
-    simple there, so its lift is the image of alpha mod p^k under
-    rho -> R and rho -> R^2; the pair solves for a and b mod p^k.
+    p does not divide D, alpha maps to a root of each image.  Every root
+    of both images in F_p is simple, so the Newton lift of that root is the
+    image of alpha mod p^k under rho -> R and rho -> R^2, and the pair
+    solves for a and b mod p^k.
     Cauchy's bound, with |c|^2 = N(c), gives |alpha| <= 1 + max_i |c_i/lc|
     <= M = isqrt(max_i N(c_i) // D) + 2, and since Im alpha = b*sqrt(3)/2
     and a = Re alpha + Im alpha/sqrt(3), both |a| and |b| are at most

@@ -162,6 +162,21 @@ def test_curve_flexes(capsys):
     assert "9" in out
 
 
+def test_curve_flexes_lists_each_note_once(capsys):
+    # the locus and the Hessian system both meet a positive-dimensional chart
+    curve = "(x0*x2 - x1^2)^2"
+    notes = [
+        "solution set is positive-dimensional in a chart",
+        "count not certified: unclassified singularity at (0 : 0 : 1)",
+    ]
+    code, out, _ = run(capsys, ["curve", "flexes", curve, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["notes"] == notes
+    code, out, _ = run(capsys, ["curve", "analyze", curve, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["notes"] == notes
+
+
 def test_curve_from_file(tmp_path, capsys):
     path = tmp_path / "curve.txt"
     path.write_text(CUSPIDAL + "\n")

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plucker_lab import curve
 from plucker_lab.curve import PlaneCurve, singular_locus
@@ -29,6 +29,20 @@ ROOT_FREE = (
     LambdaPoly([-2, 0, 0, 1]),
     LambdaPoly([1, 0, 0, 0, 1]),
     LambdaPoly([-1, -1, 0, 0, 0, 1]),
+)
+
+# (roots, monic cofactor) pairs that probe the choice of the prime: roots
+# that collide mod 7, 13, 19, 31, 37 and 43 (so p = 61), with and without
+# rho parts; a root-free cofactor with a double factor mod 7 that has no
+# root there (so p = 7, though the image is not squarefree); a root = 0
+# (mod 7); a root with 7 in its denominator (7 divides D and is skipped)
+_N = 7 * 13 * 19 * 31 * 37 * 43
+PRIME_PROBES = (
+    ({ONE: 1, ONE + _N: 1}, LambdaPoly([1])),
+    ({ONE + RHO: 1, ONE + _N + RHO: 1, ONE * 7: 1}, LambdaPoly([1])),
+    ({ONE: 1}, LambdaPoly([1, 7, 1]) * LambdaPoly([1, 14, 1])),
+    ({ONE * 7: 1, -ONE: 1}, LambdaPoly([1])),
+    ({ONE / 7: 1, ONE * 2: 1}, LambdaPoly([1])),
 )
 
 
@@ -77,6 +91,11 @@ _scalars = st.one_of(
     cofactor=st.sampled_from(ROOT_FREE),
     scale=_scalars.filter(bool),
 )
+@example(roots=PRIME_PROBES[0][0], cofactor=PRIME_PROBES[0][1], scale=ONE)
+@example(roots=PRIME_PROBES[1][0], cofactor=PRIME_PROBES[1][1], scale=ONE)
+@example(roots=PRIME_PROBES[2][0], cofactor=PRIME_PROBES[2][1], scale=ONE)
+@example(roots=PRIME_PROBES[3][0], cofactor=PRIME_PROBES[3][1], scale=ONE)
+@example(roots=PRIME_PROBES[4][0], cofactor=PRIME_PROBES[4][1], scale=ONE)
 def test_lambda_roots_recovers_products(roots, cofactor, scale):
     p = product(roots, cofactor, scale)
     r = lambda_roots(p)
@@ -171,8 +190,12 @@ def test_random_products_match_sympy():
             Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
         )
 
+    cases = [(roots, cofactor, ONE) for roots, cofactor in PRIME_PROBES]
     for _ in range(4):
         roots = {scalar(): rng.randint(1, 3) for _ in range(rng.randint(1, 4))}
-        p = product(roots, rng.choice(ROOT_FREE), scalar() or ONE)
+        cases.append((roots, rng.choice(ROOT_FREE), scalar() or ONE))
+    for roots, cofactor, scale in cases:
+        p = product(roots, cofactor, scale)
         r = lambda_roots(p)
         assert dict(r.roots) == sympy_linear_factors(p) == roots
+        assert r.unresolved == ((cofactor,) if cofactor.degree >= 3 else ())
