@@ -14,14 +14,12 @@ from .scalars import (  # noqa: F401
     EisensteinScalar,
     LambdaPoly,
     RootSearch,
-    eis_sqrt,
     lambda_roots,
 )
 from .polynomials import (  # noqa: F401
     MultiPoly,
     PolyParseError,
     bl2_sextic,
-    discriminant,
     parse_poly,
     quadratic_map,
     render_poly,
@@ -48,7 +46,6 @@ from .pluecker import (  # noqa: F401
 from .chow import (  # noqa: F401
     ChowClass,
     chern_twist,
-    incidence_genus,
     multiplicity_bound,
     pencil_singular_count,
 )

@@ -107,8 +107,10 @@ def exact_div(p, d):
 
 
 def bareiss(mat):
-    """Determinant of a square matrix of polynomials by the fraction-free
-    recurrence of polynomials.bareiss_determinant."""
+    """Determinant of a square matrix of polynomials over Z[rho] ([] is
+    zero) by Bareiss's fraction-free elimination: each step replaces an
+    entry by (entry * pivot - lead * pivot-row entry) / previous pivot, a
+    division that is exact; a zero pivot swaps in a later row."""
     n = len(mat)
     m = [row[:] for row in mat]
     sign = 1

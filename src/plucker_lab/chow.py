@@ -195,12 +195,6 @@ def incidence_numerology(d: int) -> dict:
     }
 
 
-def incidence_genus(d: int):
-    """(arithmetic genus, canonical degree) of the incidence curve."""
-    data = incidence_numerology(d)
-    return data["pa"], data["deg_omega"]
-
-
 # Euler characteristics the pencil count relies on; standard facts.
 EULER_ABELIAN_SURFACE = 0
 EULER_P1 = 2

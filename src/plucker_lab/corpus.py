@@ -135,22 +135,26 @@ _EXCLUDED_LAMBDAS = (ONE, RHO, RHO * RHO)
 def _family_obstructions():
     """The sextic family's order-3 orbit obstructions, which do not depend
     on lambda, computed once per process: a (representative text,
-    obstruction, obstruction text) triple per orbit, the sorted texts of
-    the exceptional lambdas, and the count of unresolved factors."""
+    obstruction, obstruction text) triple per orbit and the sorted texts
+    of the exceptional lambdas, which an incomplete root search leaves
+    unproven: it raises RuntimeError."""
     obstructions = curve_orbit_obstruction(bl2_sextic(), use_quadratic_map=True)
     rows = []
     exceptional = set()
-    unresolved = 0
     for rep in ORDER3_ORBIT_REPRESENTATIVES:
         ob = obstructions[rep]
         rows.append((str(rep), ob, render_lambda_poly(ob)))
         if ob.is_zero():
             continue
         search = lambda_roots(ob)
+        if not search.complete:
+            raise RuntimeError(
+                "the root search of the obstruction %s of orbit %s is incomplete"
+                % (render_lambda_poly(ob), rep)
+            )
         exceptional.update(r for r, _ in search.roots)
-        unresolved += len(search.unresolved)
     texts = [str(r) for r in sorted(exceptional, key=scalar_sort_key)]
-    return tuple(rows), tuple(texts), unresolved
+    return tuple(rows), tuple(texts)
 
 
 def run_special_case(lambda_value) -> ScenarioReport:
@@ -170,7 +174,7 @@ def run_special_case(lambda_value) -> ScenarioReport:
         )
     report = ScenarioReport("special-case", inputs={"lambda": str(lam)})
 
-    obstructions, exceptional, unresolved = _family_obstructions()
+    obstructions, exceptional = _family_obstructions()
     report.computed["obstructions"] = {rep: text for rep, _, text in obstructions}
     report.computed["exceptional_lambdas"] = list(exceptional)
     report.check(
@@ -186,11 +190,6 @@ def run_special_case(lambda_value) -> ScenarioReport:
         all(bool(v) for v in at_lam),
         "no order-3 orbit lies on the sextic at lambda = %s" % lam,
     )
-    if unresolved:
-        report.notes.append(
-            "%d obstruction factors left unresolved; exceptional set may be larger"
-            % unresolved
-        )
 
     sextic = PlaneCurve(bl2_sextic().specialize_lambda(lam))
     report.computed["sextic"] = render_poly(sextic.equation)
@@ -288,7 +287,7 @@ def run_main_theorem() -> ScenarioReport:
     report.check(
         "degree-9-singular-branch",
         "acceptance 2",
-        (not branch_b.feasible) and branch_b.raw == (Fraction(-27), Fraction(36)),
+        (not branch_b.feasible) and branch_b.raw == (-27, 36),
         "degree 9 with genus 19 is rejected: raw solution (nu, kappa) = (%s, %s)"
         % branch_b.raw,
     )

@@ -564,12 +564,13 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     _zrho.kernel), each column with a rational scale; the kernel vector is
     unscaled at the end.  m is the predicted class when
     the singular locus is complete and classified; otherwise the least m
-    <= d(d-1) with a nonzero kernel.  A kernel that is not 1-dimensional
-    raises DualKernelError.  A curve whose Hessian vanishes identically
-    (a rank-2 conic, concurrent lines) raises DegenerateHessianError
-    first: by Gordan and Noether (Math. Ann. 10, 1876) a ternary form has
-    an identically zero Hessian exactly when its partials are linearly
-    dependent, which the same kernel decides.
+    <= d(d-1) with a nonzero kernel.  A predicted class below 2 (a union
+    of lines, whose dual is a set of points) raises ValueError; a kernel
+    that is not 1-dimensional raises DualKernelError.  A curve whose
+    Hessian vanishes identically (a rank-2 conic, concurrent lines) raises
+    DegenerateHessianError first: by Gordan and Noether (Math. Ann. 10,
+    1876) a ternary form has an identically zero Hessian exactly when its
+    partials are linearly dependent, which the same kernel decides.
     """
     f, grads = _int_gradient(c)
     if _zrho.kernel(grads):
@@ -584,6 +585,11 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
         m_expected = expected_class(d, records) if locus.complete else None
     except ValueError:
         m_expected = None
+    if m_expected is not None and m_expected < 2:  # a non-line has class >= 2
+        raise ValueError(
+            "the curve is a union of lines (class %d): its dual is a set of "
+            "points, not a curve" % m_expected
+        )
     # n*x^lead = tail modulo f with n the norm of the leading coefficient
     lead, _ = c.equation.leading_term()
     lc = f.pop(lead)

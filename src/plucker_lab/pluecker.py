@@ -16,7 +16,6 @@ vector, because the interesting case analyses live exactly there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class InfeasibleInvariantsError(ValueError):
@@ -88,9 +87,9 @@ def dual_invariants(d: int, nu: int, kappa: int) -> PlueckerInvariants:
 class NodeCuspSolution:
     """Outcome of solving nu+kappa = p_a - g, 2nu+3kappa = d(d-1) - m.
 
-    raw always holds the exact solution of the linear system; nu/kappa
-    are filled only when that solution is a pair of non-negative
-    integers.  violated_identity is set when the system forces
+    raw always holds the exact solution of the linear system, a pair of
+    ints (the system has determinant 1); nu/kappa are filled only when
+    both are non-negative.  violated_identity is set when the system forces
     nu = kappa = 0 yet the class relation fails, and spells out the
     false equation.
     """
@@ -124,13 +123,11 @@ def solve_nodes_cusps(d: int, g: int, m: int) -> NodeCuspSolution:
         raise ValueError("genus must be >= 0")
     if m < 2:
         raise ValueError("class must be >= 2")
-    s1 = Fraction(arithmetic_genus(d) - g)  # nu + kappa
-    s2 = Fraction(d * (d - 1) - m)  # 2 nu + 3 kappa
+    s1 = arithmetic_genus(d) - g  # nu + kappa
+    s2 = d * (d - 1) - m  # 2 nu + 3 kappa
     kappa = s2 - 2 * s1
     nu = 3 * s1 - s2
-    feasible = (
-        nu >= 0 and kappa >= 0 and nu.denominator == 1 and kappa.denominator == 1
-    )
+    feasible = nu >= 0 and kappa >= 0
     violated = None
     if not feasible and s1 == 0 and m != d * (d - 1):
         # nu = kappa = 0 is forced, so the class relation must read
@@ -138,8 +135,8 @@ def solve_nodes_cusps(d: int, g: int, m: int) -> NodeCuspSolution:
         violated = "%d = %d" % (m, d * (d - 1))
     return NodeCuspSolution(
         feasible=feasible,
-        nu=int(nu) if feasible else None,
-        kappa=int(kappa) if feasible else None,
+        nu=nu if feasible else None,
+        kappa=kappa if feasible else None,
         raw=(nu, kappa),
         violated_identity=violated,
     )

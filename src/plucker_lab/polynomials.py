@@ -5,7 +5,7 @@ keep the parameter lambda symbolic while x0,x1,x2 stay polynomial
 variables.  The module supplies the text grammar used everywhere
 (integers, `/`, `rho`, `lambda`, identifiers, + - * ^, parentheses),
 graded-lex canonical rendering, calculus (partials, substitution),
-Sylvester resultants with fraction-free elimination, discriminants, a
+the Sylvester resultant of a chart elimination over Z[rho], a
 primitive-PRS gcd, and the built-in sextic family with its quadratic
 coordinate map.
 """
@@ -599,57 +599,6 @@ def render_poly(p: MultiPoly) -> str:
 # ---------------------------------------------------------------------------
 # Resultants
 
-def _sylvester_rows(pc, qc, zero):
-    """Sylvester matrix from coefficient lists, leading coefficient first."""
-    dp, dq = len(pc) - 1, len(qc) - 1
-    rows = [[zero] * i + pc + [zero] * (dq - 1 - i) for i in range(dq)]
-    rows += [[zero] * i + qc + [zero] * (dp - 1 - i) for i in range(dp)]
-    assert all(len(r) == dp + dq for r in rows)
-    return rows
-
-
-def _sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str):
-    pc = p.coefficients_in(var)
-    qc = q.coefficients_in(var)
-    pc.reverse()  # leading first
-    qc.reverse()
-    return _sylvester_rows(pc, qc, MultiPoly.zero(p.vars))
-
-
-def bareiss_determinant(mat, variables) -> MultiPoly:
-    """Determinant of a square MultiPoly matrix by fraction-free
-    elimination; every interior division is exact."""
-    n = len(mat)
-    one = MultiPoly.constant(variables, 1)
-    if n == 0:
-        return one
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(variables)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                num = row_i[j] * pivot
-                if not lead.is_zero():
-                    num = num - lead * m[k][j]
-                row_i[j] = num.exact_div(prev)
-            row_i[k] = MultiPoly.zero(variables)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
 def _chart_coefficients(p: MultiPoly, i: int, j):
     """Coefficients of p in variable i, leading first, each a Z[rho]
     polynomial in variable j (None: no other live variable), after
@@ -666,14 +615,33 @@ def _chart_coefficients(p: MultiPoly, i: int, j):
     return rows, den
 
 
-def _chart_resultant(p: MultiPoly, q: MultiPoly, i: int, j) -> MultiPoly:
-    """Resultant in variable i of lambda-free p and q whose only other
-    live variable is j (or none), computed over Z[rho] and scaled back by
-    D_p^-deg(q) * D_q^-deg(p) for the cleared denominators D_p, D_q."""
+def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
+    """Sylvester resultant of a chart elimination, eliminating var: p and
+    q are lambda-free with at most one live variable j besides var (other
+    inputs raise ValueError naming lambda or the variables).  _zrho.bareiss
+    takes the determinant on dense polynomials in j over Z[rho], scaled
+    back by D_p^-deg(q) * D_q^-deg(p) for the cleared denominators."""
+    p._check_same_vars(q)
+    if p.is_zero() or q.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    if p.degree_in(var) < 1 or q.degree_in(var) < 1:
+        raise ValueError("resultant needs positive degree in %r" % var)
+    if not (p.lambda_free() and q.lambda_free()):
+        raise ValueError("resultant needs lambda-free polynomials, but lambda is still symbolic")
+    i = p._var_index(var)
+    others = sorted({k for f in (p, q) for e in f.terms for k, n in enumerate(e) if n and k != i})
+    if len(others) > 1:
+        names = ", ".join(p.vars[k] for k in others)
+        raise ValueError("resultant in %r allows one other live variable, got %s" % (var, names))
+    j = others[0] if others else None
     pc, p_den = _chart_coefficients(p, i, j)
     qc, q_den = _chart_coefficients(q, i, j)
-    det = _zrho.bareiss(_sylvester_rows(pc, qc, []))
-    scale = p_den ** (len(qc) - 1) * q_den ** (len(pc) - 1)
+    dp, dq = len(pc) - 1, len(qc) - 1
+    # the Sylvester matrix, [] padding as the zero polynomial
+    rows = [[[]] * k + pc + [[]] * (dq - 1 - k) for k in range(dq)]
+    rows += [[[]] * k + qc + [[]] * (dp - 1 - k) for k in range(dp)]
+    det = _zrho.bareiss(rows)
+    scale = p_den ** dq * q_den ** dp
     zero = (0,) * len(p.vars)
     terms = {}
     for e, (a, b) in enumerate(det):
@@ -681,41 +649,6 @@ def _chart_resultant(p: MultiPoly, q: MultiPoly, i: int, j) -> MultiPoly:
             exp = zero if j is None else zero[:j] + (e,) + zero[j + 1 :]
             terms[exp] = LambdaPoly._raw((EisensteinScalar._raw(a, b, scale),))
     return MultiPoly._raw(p.vars, terms)
-
-
-def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant eliminating var; the result is var-free.
-
-    Lambda-free inputs with at most one live variable besides var (every
-    chart elimination of a curve) take an integer kernel over Z[rho];
-    all others take bareiss_determinant on the MultiPoly Sylvester
-    matrix."""
-    p._check_same_vars(q)
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    if p.degree_in(var) < 1 or q.degree_in(var) < 1:
-        raise ValueError("resultant needs positive degree in %r" % var)
-    i = p._var_index(var)
-    others = {
-        k for f in (p, q) for e in f.terms for k, n in enumerate(e) if n and k != i
-    }
-    if len(others) <= 1 and p.lambda_free() and q.lambda_free():
-        return _chart_resultant(p, q, i, others.pop() if others else None)
-    return bareiss_determinant(_sylvester_matrix(p, q, var), p.vars)
-
-
-def discriminant(p: MultiPoly, var: str) -> MultiPoly:
-    """Res(p, dp/dvar) / lc with the classical sign, so x^2+b*x+c gives
-    b^2 - 4*c and x^3+p*x+q gives -4*p^3 - 27*q^2."""
-    d = p.degree_in(var)
-    if d < 2:
-        raise ValueError("discriminant needs degree >= 2 in %r" % var)
-    res = resultant(p, p.partial_derivative(var), var)
-    lead = p.coefficients_in(var)[d]
-    out = res.exact_div(lead)
-    if (d * (d - 1) // 2) % 2:
-        out = -out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -757,15 +690,6 @@ def normalize_leading(p: MultiPoly) -> MultiPoly:
         return p
     _, lead = p.leading_term()
     return p.scale(LambdaPoly((lead.leading().inverse(),)))
-
-
-def proportional(p: MultiPoly, q: MultiPoly) -> bool:
-    """True when p and q agree up to a nonzero constant scalar factor."""
-    if p.vars != q.vars:
-        return False
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    return normalize_leading(p) == normalize_leading(q)
 
 
 def mv_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:

@@ -4,7 +4,7 @@ A differential oracle for the Z[rho] int-pair code in plucker_lab._zrho
 that plucker_lab.curve.dual_curve runs on: the same column build and the
 same elimination, with every entry a Q(rho) scalar and every pivot
 normalized to 1.  Forms are dicts exponent triple -> scalar; columns are
-dicts row -> scalar.
+dicts row -> scalar.  proportional compares equations up to a scalar.
 """
 
 import heapq
@@ -119,3 +119,12 @@ def dual(c, m: int) -> MultiPoly:
     return normalize_leading(
         MultiPoly._raw(U_VARS, {alphas[j]: LambdaPoly((x,)) for j, x in vec.items()})
     )
+
+
+def proportional(p: MultiPoly, q: MultiPoly) -> bool:
+    """True when p and q agree up to a nonzero constant scalar factor."""
+    if p.vars != q.vars:
+        return False
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    return normalize_leading(p) == normalize_leading(q)

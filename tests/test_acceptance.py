@@ -103,10 +103,11 @@ def test_criterion_2_degree_9_branches(acceptance_log):
         smooth, dt_a = _best_of(lambda: solve_nodes_cusps(9, 28, 18))
         assert not smooth.feasible
         assert smooth.violated_identity == "18 = 72"
-        assert smooth.raw == (Fraction(-54), Fraction(54))
+        assert smooth.raw == (-54, 54)
         singular, dt_b = _best_of(lambda: solve_nodes_cusps(9, 19, 18))
         assert not singular.feasible
-        assert singular.raw == (Fraction(-27), Fraction(36))
+        assert singular.raw == (-27, 36)
+        assert all(type(x) is int for x in smooth.raw + singular.raw)
         assert dt_a < 0.001 and dt_b < 0.001
         return (
             "degree-9 branches infeasible: genus 28 trips '18 = 72', "

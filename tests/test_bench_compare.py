@@ -75,6 +75,19 @@ def test_src_lines_counts_the_package_sources_like_wc(tmp_path):
     assert bench_compare.src_lines(tmp_path) == 4
 
 
+def test_tests_lines_counts_the_top_level_test_modules(tmp_path):
+    tests = tmp_path / "tests"
+    (tests / "golden").mkdir(parents=True)
+    (tests / "test_a.py").write_text("a = 1\nb = 2\n")
+    (tests / "oracle.py").write_text("def f():\n    return 1\n")
+    (tests / "golden" / "g.py").write_text("not counted\n")
+    (tests / "golden" / "report.json").write_text("{}\n")
+    (tmp_path / "src" / "plucker_lab").mkdir(parents=True)
+    (tmp_path / "src" / "plucker_lab" / "m.py").write_text("x = 1\n")
+    assert bench_compare.tests_lines(tmp_path) == 4
+    assert bench_compare.src_lines(tmp_path) == 1
+
+
 def _canned_output(correct=True, trace=0):
     """The last three lines of a perfbench run, shaped like run.py's."""
     record = {"workload": "special-sweep", "seed": 1, "trace": trace, "pass_size": 20,

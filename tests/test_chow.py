@@ -8,7 +8,6 @@ from plucker_lab.chow import (
     ChowClass,
     chern_twist,
     chow_mul,
-    incidence_genus,
     incidence_numerology,
     multiplicity_bound,
     pencil_singular_count,
@@ -93,11 +92,11 @@ def test_incidence_numerology_d3():
 def test_incidence_genus_formula():
     # pa = 9d + 1 and deg_omega = 18d across small degrees
     for d in range(1, 8):
-        pa, deg_omega = incidence_genus(d)
-        assert pa == 9 * d + 1
-        assert deg_omega == 18 * d
+        data = incidence_numerology(d)
+        assert data["pa"] == 9 * d + 1
+        assert data["deg_omega"] == 18 * d
     with pytest.raises(ValueError):
-        incidence_genus(0)
+        incidence_numerology(0)
 
 
 def test_pencil_singular_count():

@@ -140,6 +140,20 @@ def test_curve_dual_of_a_double_conic_exits_2(capsys):
     assert "degree 2" in err and "6-dimensional kernel" in err
 
 
+@pytest.mark.parametrize("lines", ["x0*x1*x2", "x0*x1*x2*(x0 + x1 + x2)"])
+def test_curve_dual_of_lines_in_general_position_exits_2(capsys, lines):
+    code, out, err = run(capsys, ["curve", "dual", lines])
+    assert code == 2 and out == ""
+    assert "union of lines (class 0)" in err and "set of points" in err
+
+
+def test_curve_dual_of_a_line_and_a_conic_is_the_conic_dual(capsys):
+    code, out, _ = run(capsys, ["curve", "dual", "--format", "json", "x0*(x0*x2 - x1^2)"])
+    assert code == 0
+    assert json.loads(out) == {"degree": 2, "equation": "u0*u2 - 1/4*u1^2",
+                               "variables": ["u0", "u1", "u2"]}
+
+
 @pytest.mark.parametrize(
     "lam, hesse",
     [

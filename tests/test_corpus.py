@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from plucker_lab import corpus
-from plucker_lab.scalars import RHO
+from plucker_lab.scalars import RHO, LambdaPoly, RootSearch
 from plucker_lab.polynomials import parse_scalar
 from plucker_lab.corpus import (
     CURVES,
@@ -122,6 +122,15 @@ def test_orbit_obstruction_runs_once_per_process(monkeypatch):
     got = report_as_json(run_special_case(2)) + "\n"
     assert got == (GOLDEN / "special_case_lambda2.json").read_text()
     assert len(calls) == 1
+
+
+def test_incomplete_obstruction_root_search_raises(monkeypatch):
+    # x^3 - 2 has no root in Q(rho) and is left unresolved
+    undecided = RootSearch(roots=(), unresolved=(LambdaPoly([-2, 0, 0, 1]),))
+    monkeypatch.setattr(corpus, "lambda_roots", lambda p: undecided)
+    corpus._family_obstructions.cache_clear()
+    with pytest.raises(RuntimeError, match="obstruction .* is incomplete"):
+        run_special_case(2)
 
 
 def test_special_case_is_deterministic():

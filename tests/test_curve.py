@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import dual_oracle
+from dual_oracle import proportional
 from plucker_lab import _zrho, corpus, curve, polynomials
 from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar
 from plucker_lab.polynomials import (
@@ -17,7 +18,6 @@ from plucker_lab.polynomials import (
     bl2_sextic,
     parse_poly,
     parse_scalar,
-    proportional,
     render_poly,
 )
 from plucker_lab.curve import (

@@ -5,7 +5,6 @@ from plucker_lab.polynomials import (
     X_VARS,
     bl2_sextic,
     parse_poly,
-    proportional,
     quadratic_map,
 )
 from plucker_lab.curve import ProjectivePoint
@@ -20,6 +19,7 @@ from plucker_lab.heisenberg import (
     sigma,
     tau,
 )
+from dual_oracle import proportional
 
 RHO2 = RHO * RHO
 

@@ -18,9 +18,9 @@ from plucker_lab.scalars import (
     ZERO,
     EisensteinScalar,
     LambdaPoly,
-    eis_sqrt,
     lambda_roots,
 )
+from sqrt_oracle import eis_sqrt
 
 # monic cofactors without a root in Q(rho)
 ROOT_FREE = (

@@ -1,6 +1,5 @@
-from fractions import Fraction
-
 import pytest
+from hypothesis import given, strategies as st
 
 from plucker_lab.pluecker import (
     InfeasibleInvariantsError,
@@ -57,7 +56,8 @@ def test_dual_invariants_infeasible():
 def test_solve_branch_curve():
     sol = solve_nodes_cusps(18, 28, 18)
     assert sol.feasible and (sol.nu, sol.kappa) == (36, 72)
-    assert sol.raw == (Fraction(36), Fraction(72))
+    assert sol.raw == (36, 72)
+    assert all(type(x) is int for x in sol.raw)
     assert sol.violated_identity is None
 
 
@@ -75,14 +75,16 @@ def test_solve_infeasible_degree_nine_smooth():
     assert sol.nu is None and sol.kappa is None
     # genus pins nu = kappa = 0, so the class identity must fail loudly
     assert sol.violated_identity == "18 = 72"
-    assert sol.raw == (Fraction(-54), Fraction(54))
+    assert sol.raw == (-54, 54)
+    assert all(type(x) is int for x in sol.raw)
 
 
 def test_solve_infeasible_degree_nine_singular():
     sol = solve_nodes_cusps(9, 19, 18)
     assert not sol.feasible
     assert sol.violated_identity is None
-    assert sol.raw == (Fraction(-27), Fraction(36))
+    assert sol.raw == (-27, 36)
+    assert all(type(x) is int for x in sol.raw)
 
 
 def test_solve_input_validation():
@@ -118,3 +120,14 @@ def test_round_trip_spot_checks():
         inv = dual_invariants(d, nu, kappa)
         sol = solve_nodes_cusps(d, inv.g, inv.m)
         assert sol.feasible and (sol.nu, sol.kappa) == (nu, kappa)
+
+
+@given(d=st.integers(2, 40), g=st.integers(0, 800), m=st.integers(2, 1600))
+def test_raw_solves_the_system_in_ints(d, g, m):
+    sol = solve_nodes_cusps(d, g, m)
+    nu, kappa = sol.raw
+    assert type(nu) is int and type(kappa) is int
+    assert nu + kappa == arithmetic_genus(d) - g
+    assert 2 * nu + 3 * kappa == d * (d - 1) - m
+    assert sol.feasible == (nu >= 0 and kappa >= 0)
+    assert (sol.nu, sol.kappa) == ((nu, kappa) if sol.feasible else (None, None))

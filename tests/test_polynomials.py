@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plucker_lab import curve, polynomials
+from plucker_lab import curve
 from plucker_lab.curve import PlaneCurve, singular_locus
 from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar, LambdaPoly
 from plucker_lab.polynomials import (
@@ -14,19 +14,17 @@ from plucker_lab.polynomials import (
     Y_VARS,
     MultiPoly,
     PolyParseError,
-    _sylvester_matrix,
-    bareiss_determinant,
     bl2_sextic,
-    discriminant,
     mv_gcd,
     normalize_leading,
     parse_poly,
     parse_scalar,
-    proportional,
     quadratic_map,
     render_poly,
     resultant,
 )
+from dual_oracle import proportional
+from resultant_oracle import bareiss_determinant, reference_resultant, sylvester_matrix
 
 XY = ("x", "y")
 
@@ -241,14 +239,6 @@ def test_resultant_known_quadratic():
     assert r.constant_coefficient() == LambdaPoly([-5])
 
 
-def test_discriminant_of_depressed_cubic():
-    # disc(x^3 + p x + q) = -4 p^3 - 27 q^2
-    v = ("x", "p", "q")
-    cubic = parse_poly("x^3 + p*x + q", v)
-    disc = discriminant(cubic, "x")
-    assert disc == parse_poly("-4*p^3 - 27*q^2", v)
-
-
 def test_resultant_vanishes_iff_common_root():
     v = ("x",)
     p = parse_poly("(x - 2)*(x + 1)", v)
@@ -306,31 +296,24 @@ def test_bareiss_handles_zero_pivot():
 
 # ---------------------------------------------------------------------------
 # the Z[rho] kernel for chart resultants, against the MultiPoly reference
-# and against sympy
+# of resultant_oracle and against sympy
 
 
-def reference_resultant(p, q, var):
-    return bareiss_determinant(_sylvester_matrix(p, q, var), p.vars)
-
-
-def test_chart_inputs_take_the_integer_kernel(monkeypatch):
-    seen = []
-    real = polynomials.bareiss_determinant
-
-    def record(mat, variables):
-        seen.append(len(mat))
-        return real(mat, variables)
-
-    monkeypatch.setattr(polynomials, "bareiss_determinant", record)
-    chart = parse_poly("x1^2*x2^2 - 3/2*x1 + rho*x2", X_VARS)
+def test_resultant_takes_only_chart_inputs():
     line = parse_poly("x2 - x1 + 1", X_VARS)
-    resultant(chart, line, "x2")
-    resultant(parse_poly("x2^3 - 2", X_VARS), line.specialize("x1", 1), "x2")
-    assert seen == []
-    # lambda, or a second live variable besides x2, keeps the MultiPoly path
-    resultant(parse_poly("x2^2 - lambda*x1", X_VARS), line, "x2")
-    resultant(parse_poly("x2^2 - x0*x1", X_VARS), line, "x2")
-    assert seen == [3, 3]
+    with pytest.raises(ValueError, match="lambda"):
+        resultant(parse_poly("x2^2 - lambda*x1", X_VARS), line, "x2")
+    with pytest.raises(ValueError, match="lambda"):
+        resultant(line, parse_poly("x2^2 - lambda", X_VARS), "x2")
+    with pytest.raises(ValueError, match="got x0, x1$"):
+        resultant(parse_poly("x2^2 - x0*x1", X_VARS), line, "x2")
+    with pytest.raises(ValueError, match="got x0, x1$"):
+        resultant(parse_poly("x2^2 - x0", X_VARS), line, "x2")
+    # one live variable besides x2, or none, is a chart elimination
+    chart = parse_poly("x1^2*x2^2 - 3/2*x1 + rho*x2", X_VARS)
+    assert resultant(chart, line, "x2") == reference_resultant(chart, line, "x2")
+    const = parse_poly("x2^3 - 2", X_VARS)
+    assert resultant(const, line.specialize("x1", 1), "x2").is_constant()
 
 
 # (exponent of x1, exponent of x2) -> coefficient; x0 stays absent, as in a
@@ -385,7 +368,7 @@ def test_kernel_scales_by_power_of_constant(p, q, c):
 )
 def test_kernel_zero_pivot_swaps_rows(p, q):
     p, q = parse_poly(p, X_VARS), parse_poly(q, X_VARS)
-    mat = _sylvester_matrix(p, q, "x2")
+    mat = sylvester_matrix(p, q, "x2")
     minor = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     assert minor.is_zero()  # bareiss has to swap in a later row
     assert not resultant(p, q, "x2").is_zero()

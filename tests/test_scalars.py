@@ -9,13 +9,12 @@ from plucker_lab.scalars import (
     ZERO,
     EisensteinScalar,
     LambdaPoly,
-    eis_sqrt,
-    fraction_sqrt,
     lambda_roots,
     render_lambda_poly,
     render_scalar,
     scalar_sort_key,
 )
+from sqrt_oracle import eis_sqrt, fraction_sqrt
 
 
 def _rand_scalar(rng, span=6):

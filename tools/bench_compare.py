@@ -11,8 +11,9 @@ The change is this checkout's working tree.  Each pair runs
 same interpreter; even pairs run the parent first and odd pairs the
 change first, so that drift of the host's speed falls on both sides.
 
-Each side records its sha, the digest of its sources and ``src_lines``,
-the line count of src/plucker_lab/*.py.  The metrics of a run are those
+Each side records its sha, the digest of its sources, ``src_lines``, the
+line count of src/plucker_lab/*.py, and ``tests_lines``, that of
+tests/*.py, so that lines moved from src/ into tests/ show as such.  The metrics of a run are those
 of its result line plus the error and undecided rates of its record line
 (``ops.error_rate``, ``ops.undecided_rate``).  For every metric the output
 records each side's values, median and quartiles, the pairs the change
@@ -97,9 +98,18 @@ def export_tree(rev, dest):
     return sha
 
 
+def lines(root, pattern):
+    """Total lines of the files matching ``pattern`` under ``root``, as wc -l
+    counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in Path(root).glob(pattern))
+
+
 def src_lines(root):
-    """Total lines of src/plucker_lab/*.py under ``root``, as wc -l counts them."""
-    return sum(f.read_bytes().count(b"\n") for f in Path(root).glob("src/plucker_lab/*.py"))
+    return lines(root, "src/plucker_lab/*.py")
+
+
+def tests_lines(root):
+    return lines(root, "tests/*.py")
 
 
 def run_bench(root, args):
@@ -152,7 +162,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_sha = export_tree(args.parent, tmp)
         roots = {"parent": Path(tmp), "change": ROOT}
-        lines = {side: src_lines(root) for side, root in roots.items()}
+        counts = {side: {"src_lines": src_lines(root), "tests_lines": tests_lines(root)}
+                  for side, root in roots.items()}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -168,9 +179,9 @@ def main(argv=None):
         "metrics": summarize(runs["parent"], runs["change"], better),
     }
     sides = {
-        "parent": {"sha": parent_sha, "src_sha256": digests["parent"], "src_lines": lines["parent"]},
+        "parent": {"sha": parent_sha, "src_sha256": digests["parent"], **counts["parent"]},
         "change": {"sha": head, "uncommitted_changes": dirty, "src_sha256": digests["change"],
-                   "src_lines": lines["change"]},
+                   **counts["change"]},
     }
     doc = {"cases": {}}
     if args.out.exists():
