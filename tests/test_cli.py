@@ -256,6 +256,27 @@ def test_plucker_dual_infeasible(capsys):
     assert json.loads(out)["feasible"] is False
 
 
+@pytest.mark.parametrize(
+    "d, nodes, cusps, text, values",
+    [
+        ("4", "0", "50",
+         "{'m': -138, 'f': -376, 'g': -47, '2b': 20306}",
+         '    "2b": "20306",\n    "f": "-376",\n    "g": "-47",\n    "m": "-138"\n'),
+        ("3", "4", "0",
+         "{'m': -2, 'f': -15, 'g': -3, '2b': 48}",
+         '    "2b": "48",\n    "f": "-15",\n    "g": "-3",\n    "m": "-2"\n'),
+    ],
+)
+def test_plucker_dual_infeasible_output(capsys, d, nodes, cusps, text, values):
+    argv = ["plucker", "dual", "--d", d, "--nodes", nodes, "--cusps", cusps]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out == "infeasible: derived invariants go negative: %s\n" % text
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    assert out == '{\n  "feasible": false,\n  "values": {\n%s  }\n}\n' % values
+
+
 # ---------------------------------------------------------------------------
 # heisenberg commands
 

@@ -107,11 +107,61 @@ def test_as_dict_shapes():
         "b": 0,
         "g": 1,
     }
-    sol = solve_nodes_cusps(9, 28, 18)
-    d = sol.as_dict()
-    assert d["feasible"] is False
-    assert d["raw_nu"] == "-54" and d["raw_kappa"] == "54"
-    assert d["violated_identity"] == "18 = 72"
+    assert solve_nodes_cusps(9, 28, 18).as_dict() == {
+        "feasible": False,
+        "nu": None,
+        "kappa": None,
+        "raw_nu": "-54",
+        "raw_kappa": "54",
+        "violated_identity": "18 = 72",
+    }
+    assert solve_nodes_cusps(18, 28, 18).as_dict() == {
+        "feasible": True,
+        "nu": 36,
+        "kappa": 72,
+        "raw_nu": "36",
+        "raw_kappa": "72",
+        "violated_identity": None,
+    }
+
+
+def test_record_reprs():
+    assert repr(dual_invariants(3, 0, 0)) == (
+        "PlueckerInvariants(d=3, nu=0, kappa=0, m=6, f=9, b=0, g=1)"
+    )
+    assert repr(solve_nodes_cusps(9, 28, 18)) == (
+        "NodeCuspSolution(feasible=False, nu=None, kappa=None, raw=(-54, 54), "
+        "violated_identity='18 = 72')"
+    )
+    assert repr(solve_nodes_cusps(18, 28, 18)) == (
+        "NodeCuspSolution(feasible=True, nu=36, kappa=72, raw=(36, 72), "
+        "violated_identity=None)"
+    )
+
+
+def test_records_are_read_only():
+    inv = dual_invariants(3, 0, 0)
+    sol = solve_nodes_cusps(3, 1, 6)
+    for record, field in ((inv, "m"), (inv, "d"), (sol, "feasible"), (sol, "raw")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert (inv.m, sol.feasible, sol.raw) == (6, True, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "d, nu, kappa, message",
+    [
+        (3, 4, 0, "derived invariants go negative: {'m': -2, 'f': -15, 'g': -3, '2b': 48}"),
+        (3, 0, 2, "derived invariants go negative: {'m': 0, 'f': -7, 'g': -1, '2b': 18}"),
+        (4, 0, 50,
+         "derived invariants go negative: {'m': -138, 'f': -376, 'g': -47, '2b': 20306}"),
+    ],
+)
+def test_infeasible_message(d, nu, kappa, message):
+    with pytest.raises(InfeasibleInvariantsError) as err:
+        dual_invariants(d, nu, kappa)
+    assert str(err.value) == message
+    assert list(err.value.values) == ["m", "f", "g", "2b"]
 
 
 def test_round_trip_spot_checks():
