@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,16 @@ class ChowClass:
     d: int
 
     def __post_init__(self):
-        c = tuple(tuple(int(v) for v in row) for row in self.coeffs)
+        try:
+            c = tuple(tuple(map(index, row)) for row in self.coeffs)
+        except TypeError:
+            for a, row in enumerate(self.coeffs):
+                for b, v in enumerate(row):
+                    if not hasattr(type(v), "__index__"):
+                        raise ValueError(
+                            "coefficient of l^%d h^%d is not an integer: %r" % (a, b, v)
+                        ) from None
+            raise
         if len(c) != 3 or any(len(row) != 3 for row in c):
             raise ValueError("coefficients must form a 3x3 grid")
         if self.d < 1:

@@ -11,24 +11,32 @@ nu nodes and kappa cusps (tacnodes enter as two nodes each):
 plus the inverse problem: given d, g and m, solve for (nu, kappa).
 Infeasible inputs are first-class results carrying the exact solution
 vector, because the interesting case analyses live exactly there.
+
+Numerology makes these calls by the hundred thousand, mostly on
+infeasible inputs, so the hot path does only its arithmetic: the error
+formats its message lazily, and the records are NamedTuples built
+positionally (being tuples, they compare equal to plain tuples).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InfeasibleInvariantsError(ValueError):
     """The requested invariants cannot belong to a curve with only nodes
-    and cusps; .values holds the offending derived quantities."""
+    and cusps; .values holds the offending derived quantities, which only
+    str() formats, so raising and catching formats nothing."""
 
-    def __init__(self, message: str, values: dict):
-        super().__init__(message)
-        self.values = dict(values)
+    def __init__(self, values: dict):
+        # BaseException.__new__ has already stored (values,) as .args
+        self.values = values
+
+    def __str__(self):
+        return "derived invariants go negative: %r" % (self.values,)
 
 
-@dataclass(frozen=True)
-class PlueckerInvariants:
+class PlueckerInvariants(NamedTuple):
     d: int
     nu: int
     kappa: int
@@ -38,15 +46,7 @@ class PlueckerInvariants:
     g: int
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "nu": self.nu,
-            "kappa": self.kappa,
-            "m": self.m,
-            "f": self.f,
-            "b": self.b,
-            "g": self.g,
-        }
+        return self._asdict()
 
 
 def arithmetic_genus(d: int) -> int:
@@ -60,7 +60,9 @@ def dual_invariants(d: int, nu: int, kappa: int) -> PlueckerInvariants:
     """Fill in class, flexes, bitangents and genus from (d, nu, kappa).
 
     Raises InfeasibleInvariantsError when any derived count comes out
-    negative or the bitangent count is fractional.
+    negative.  The bitangent count is always an integer: m(m-1) is even,
+    and f = 3d(d-2) - 6 nu - 8 kappa = d(d-2) = d (mod 2), so 3f + d =
+    2d = 0 (mod 2), which makes 2b = m(m-1) - 3f - d even.
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
@@ -71,20 +73,12 @@ def dual_invariants(d: int, nu: int, kappa: int) -> PlueckerInvariants:
     g = arithmetic_genus(d) - nu - kappa
     # (2) read for the dual: d = m(m-1) - 2b - 3f
     b2 = m * (m - 1) - 3 * f - d
-    values = {"m": m, "f": f, "g": g, "2b": b2}
     if m < 0 or f < 0 or g < 0 or b2 < 0:
-        raise InfeasibleInvariantsError(
-            "derived invariants go negative: %r" % (values,), values
-        )
-    if b2 % 2:
-        raise InfeasibleInvariantsError(
-            "bitangent count is fractional: 2b = %d" % b2, values
-        )
-    return PlueckerInvariants(d=d, nu=nu, kappa=kappa, m=m, f=f, b=b2 // 2, g=g)
+        raise InfeasibleInvariantsError({"m": m, "f": f, "g": g, "2b": b2})
+    return PlueckerInvariants(d, nu, kappa, m, f, b2 // 2, g)
 
 
-@dataclass(frozen=True)
-class NodeCuspSolution:
+class NodeCuspSolution(NamedTuple):
     """Outcome of solving nu+kappa = p_a - g, 2nu+3kappa = d(d-1) - m.
 
     raw always holds the exact solution of the linear system, a pair of
@@ -134,9 +128,9 @@ def solve_nodes_cusps(d: int, g: int, m: int) -> NodeCuspSolution:
         # m = d(d-1); print the equation it would have to satisfy
         violated = "%d = %d" % (m, d * (d - 1))
     return NodeCuspSolution(
-        feasible=feasible,
-        nu=nu if feasible else None,
-        kappa=kappa if feasible else None,
-        raw=(nu, kappa),
-        violated_identity=violated,
+        feasible,
+        nu if feasible else None,
+        kappa if feasible else None,
+        (nu, kappa),
+        violated,
     )

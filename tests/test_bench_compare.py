@@ -112,3 +112,84 @@ def test_read_output_takes_the_rates_from_the_record_line(trace):
 def test_read_output_rejects_a_run_with_failed_ops():
     with pytest.raises(RuntimeError, match="1 of 21 ops failed"):
         bench_compare.read_output(_canned_output(correct=False), "here")
+
+
+class _Bench:
+    """Stand-ins for git and perfbench, so that main() runs offline on a
+    fake checkout under ``tmp_path``."""
+
+    def __init__(self, monkeypatch, tmp_path):
+        self.root = tmp_path / "change"
+        (self.root / "src" / "plucker_lab").mkdir(parents=True)
+        (self.root / "src" / "plucker_lab" / "m.py").write_text("x = 1\n")
+        (self.root / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "pass_s", "better": "lower"}]}))
+        self.head, self.dirty, self.parent_lines = "c" * 40, False, 2
+        self.digest = {"parent": "p" * 64, "change": "c" * 64}
+        self.runs = 0
+        monkeypatch.setattr(bench_compare, "ROOT", self.root)
+        monkeypatch.setattr(bench_compare, "checkout_state", lambda: (self.head, self.dirty))
+        monkeypatch.setattr(bench_compare, "export_tree", self.export_tree)
+        monkeypatch.setattr(bench_compare, "run_bench", self.run_bench)
+
+    def add_test_module(self):
+        (self.root / "tests").mkdir()
+        (self.root / "tests" / "test_x.py").write_text("y = 2\n")
+
+    def export_tree(self, rev, dest):
+        (Path(dest) / "src" / "plucker_lab").mkdir(parents=True)
+        (Path(dest) / "src" / "plucker_lab" / "m.py").write_text("x = 1\n" * self.parent_lines)
+        return "a" * 40
+
+    def run_bench(self, root, args):
+        self.runs += 1
+        side = "change" if Path(root) == self.root else "parent"
+        return {"pass_s": 1.0 if side == "parent" else 0.5}, self.digest[side]
+
+    def main(self, out, workload):
+        return bench_compare.main(["--workload", workload, "--pairs", "2", "--seconds", "1",
+                                   "--out", str(out)])
+
+
+def test_cases_accumulate_for_the_same_sides(monkeypatch, tmp_path):
+    bench = _Bench(monkeypatch, tmp_path)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(out, "numerology") == 0
+    assert bench.main(out, "curve-corpus") == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["cases"]) == ["curve-corpus seed=1 trace=0", "numerology seed=1 trace=0"]
+    assert doc["sides"]["parent"] == {"sha": "a" * 40, "src_sha256": "p" * 64,
+                                      "src_lines": 2, "tests_lines": 0}
+    assert doc["sides"]["change"]["uncommitted_changes"] is False
+
+
+@pytest.mark.parametrize("field, change", [
+    ("change.sha", lambda b: setattr(b, "head", "d" * 40)),
+    ("change.uncommitted_changes", lambda b: setattr(b, "dirty", True)),
+    ("parent.src_lines", lambda b: setattr(b, "parent_lines", 3)),
+    ("change.tests_lines", lambda b: b.add_test_module()),
+])
+def test_other_sides_are_refused_before_any_pair_runs(monkeypatch, tmp_path, field, change):
+    bench = _Bench(monkeypatch, tmp_path)
+    out = tmp_path / "BENCH.json"
+    bench.main(out, "numerology")
+    before, runs = out.read_bytes(), bench.runs
+    change(bench)
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(out, "curve-corpus")
+    assert exit_.value.code != 0 and "(%s differ)" % field in str(exit_.value.code)
+    assert bench.runs == runs
+    assert out.read_bytes() == before
+
+
+def test_another_source_digest_is_refused_after_the_runs(monkeypatch, tmp_path):
+    bench = _Bench(monkeypatch, tmp_path)
+    out = tmp_path / "BENCH.json"
+    bench.main(out, "numerology")
+    before, runs = out.read_bytes(), bench.runs
+    bench.digest["change"] = "e" * 64
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(out, "curve-corpus")
+    assert exit_.value.code != 0 and "(change.src_sha256 differ)" in str(exit_.value.code)
+    assert bench.runs == runs + 4
+    assert out.read_bytes() == before

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,20 @@ def test_ring_axioms_random():
         assert chow_mul(a, one) == a
         assert a + b - b == a
         assert (a - a).is_zero()
+
+
+def test_non_integral_coefficients_rejected():
+    # the issue case: 1/2 and 2.7 used to be truncated to 0 and 2
+    grid = ((Fraction(1, 2), 0, 0), (0, 2.7, 0), (0, 0, 1))
+    with pytest.raises(ValueError) as err:
+        ChowClass(grid, 3)
+    assert str(err.value) == "coefficient of l^0 h^0 is not an integer: Fraction(1, 2)"
+    for bad in (2.7, 2.0, Fraction(2), "2"):
+        with pytest.raises(ValueError) as err:
+            ChowClass(((1, 0, 0), (0, bad, 0), (0, 0, 1)), 3)
+        assert str(err.value) == "coefficient of l^1 h^1 is not an integer: %r" % (bad,)
+    # bool and other int subtypes are integers
+    assert str(ChowClass(((1, 0, 0), (0, 2, 0), (0, 0, True)), 3)) == "1 + 2*l*h + l^2*h^2"
 
 
 def test_mixed_degree_rejected():

@@ -181,3 +181,21 @@ def test_raw_solves_the_system_in_ints(d, g, m):
     assert 2 * nu + 3 * kappa == d * (d - 1) - m
     assert sol.feasible == (nu >= 0 and kappa >= 0)
     assert (sol.nu, sol.kappa) == ((nu, kappa) if sol.feasible else (None, None))
+
+
+@given(
+    d=st.integers(2, 10**6),
+    nu=st.integers(0, 10**12),
+    kappa=st.integers(0, 10**12),
+)
+def test_twice_the_bitangent_count_is_even(d, nu, kappa):
+    m = d * (d - 1) - 2 * nu - 3 * kappa
+    f = 3 * d * (d - 2) - 6 * nu - 8 * kappa
+    b2 = m * (m - 1) - 3 * f - d
+    assert b2 % 2 == 0
+    try:
+        inv = dual_invariants(d, nu, kappa)
+    except InfeasibleInvariantsError as e:
+        assert e.values["2b"] == b2
+    else:
+        assert 2 * inv.b == b2

@@ -22,6 +22,10 @@ wins at least nine tenths of the pairs and the medians differ, in the
 better direction, by more than the parent's interquartile range.  Each
 (workload, seed, trace) case is stored under its own key, so several
 invocations with the same sides and ``--out`` accumulate in one file.
+An ``--out`` file recorded with other sides is never overwritten: when
+its sha, ``src_lines``, ``tests_lines`` or ``uncommitted_changes`` differ
+the script exits non-zero before any pair runs, and when a source digest
+differs it exits non-zero after the runs, leaving the file as it was.
 """
 
 import argparse
@@ -34,6 +38,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The fields of a side known before any run, and the one a run reports.
+SIDE_FIELDS = ("sha", "src_lines", "tests_lines", "uncommitted_changes")
+DIGEST_FIELDS = ("src_sha256",)
 
 
 def quartiles(values):
@@ -98,6 +106,30 @@ def export_tree(rev, dest):
     return sha
 
 
+def checkout_state():
+    """(sha of HEAD, whether tracked files of this checkout are modified)."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                                cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip())
+    return head, dirty
+
+
+def differing_fields(recorded, sides, fields):
+    """The "side.field" names among ``fields`` whose values differ between
+    the ``sides`` recorded in an existing output and those of this run."""
+    return ["%s.%s" % (side, field) for side in ("parent", "change") for field in fields
+            if recorded.get(side, {}).get(field) != sides[side].get(field)]
+
+
+def refuse_other_sides(out, recorded, sides, fields):
+    """Exit non-zero, naming the fields, if ``recorded`` differs from ``sides``."""
+    differ = differing_fields(recorded, sides, fields)
+    if differ:
+        sys.exit("%s was recorded with other sides (%s differ); it is left unchanged, "
+                 "pass another --out" % (out, ", ".join(differ)))
+
+
 def lines(root, pattern):
     """Total lines of the files matching ``pattern`` under ``root``, as wc -l
     counts them."""
@@ -153,17 +185,19 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
-    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                                cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip())
+    head, dirty = checkout_state()
+    old = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else None
     runs = {"parent": [], "change": []}
     digests = {}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_sha = export_tree(args.parent, tmp)
         roots = {"parent": Path(tmp), "change": ROOT}
-        counts = {side: {"src_lines": src_lines(root), "tests_lines": tests_lines(root)}
-                  for side, root in roots.items()}
+        sides = {side: {"src_lines": src_lines(root), "tests_lines": tests_lines(root)}
+                 for side, root in roots.items()}
+        sides["parent"]["sha"] = parent_sha
+        sides["change"].update(sha=head, uncommitted_changes=dirty)
+        if old is not None:
+            refuse_other_sides(args.out, old.get("sides", {}), sides, SIDE_FIELDS)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -173,21 +207,17 @@ def main(argv=None):
                     {k: round(v, 6) for k, v in sorted(metrics.items()) if k in better})),
                     file=sys.stderr, flush=True)
 
+    for side in sides:
+        sides[side]["src_sha256"] = digests[side]
     case = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "pairs": args.pairs,
         "metrics": summarize(runs["parent"], runs["change"], better),
     }
-    sides = {
-        "parent": {"sha": parent_sha, "src_sha256": digests["parent"], **counts["parent"]},
-        "change": {"sha": head, "uncommitted_changes": dirty, "src_sha256": digests["change"],
-                   **counts["change"]},
-    }
     doc = {"cases": {}}
-    if args.out.exists():
-        old = json.loads(args.out.read_text(encoding="utf-8"))
-        if old.get("sides") == sides:
-            doc = old
+    if old is not None:
+        refuse_other_sides(args.out, old.get("sides", {}), sides, DIGEST_FIELDS)
+        doc = old
     doc.update({"sides": sides, "python": platform.python_version(),
                 "command": "tools/bench_compare.py"})
     doc["cases"]["%s seed=%d trace=%d" % (args.workload, args.seed, args.trace)] = case
