@@ -107,6 +107,7 @@ def test_as_dict_shapes():
         "b": 0,
         "g": 1,
     }
+    assert list(inv.as_dict()) == ["d", "nu", "kappa", "m", "f", "b", "g"]
     assert solve_nodes_cusps(9, 28, 18).as_dict() == {
         "feasible": False,
         "nu": None,

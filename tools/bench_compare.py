@@ -115,16 +115,11 @@ def checkout_state():
     return head, dirty
 
 
-def differing_fields(recorded, sides, fields):
-    """The "side.field" names among ``fields`` whose values differ between
-    the ``sides`` recorded in an existing output and those of this run."""
-    return ["%s.%s" % (side, field) for side in ("parent", "change") for field in fields
-            if recorded.get(side, {}).get(field) != sides[side].get(field)]
-
-
 def refuse_other_sides(out, recorded, sides, fields):
-    """Exit non-zero, naming the fields, if ``recorded`` differs from ``sides``."""
-    differ = differing_fields(recorded, sides, fields)
+    """Exit non-zero, naming them as "side.field", if any of ``fields``
+    differs between the ``sides`` recorded in ``out`` and this run's."""
+    differ = ["%s.%s" % (side, field) for side in ("parent", "change") for field in fields
+              if recorded.get(side, {}).get(field) != sides[side].get(field)]
     if differ:
         sys.exit("%s was recorded with other sides (%s differ); it is left unchanged, "
                  "pass another --out" % (out, ", ".join(differ)))
