@@ -48,7 +48,7 @@ def test_ring_axioms_random():
 
 
 def test_non_integral_coefficients_rejected():
-    # the issue case: 1/2 and 2.7 used to be truncated to 0 and 2
+    # int() would truncate 1/2 and 2.7 to 0 and 2
     grid = ((Fraction(1, 2), 0, 0), (0, 2.7, 0), (0, 0, 1))
     with pytest.raises(ValueError) as err:
         ChowClass(grid, 3)
