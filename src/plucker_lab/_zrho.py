@@ -11,8 +11,11 @@ residue.
 The integer kernels of the package run on this format: the Bareiss
 recurrence of the chart resultants, the Taylor jets of the singularity
 classifier, the normal forms and fraction-free kernel of the dual curve,
-and the p-adic core of lambda_roots.  Scalars of Q(rho) enter
-through clear; every other function sees only ints.
+and everything the chart solver of curve does below the resultant: the
+primitive-PRS gcd, the normal form of a polynomial up to a factor, exact
+evaluation and back-substitution, and the root core solve, which
+lambda_roots runs as well.  Scalars of Q(rho) enter through clear; every
+other function sees only ints.
 """
 
 import math
@@ -348,3 +351,177 @@ def roots(cs, is_root):
                 lifted[1].remove(v)
                 break
     return found
+
+
+# ---------------------------------------------------------------------------
+# Univariate polynomials up to a factor: gcd, values and the root core
+#
+# Only the roots of these polynomials matter, so each is kept up to a
+# nonzero factor in Q(rho), and a common factor of its ints is dropped.
+
+
+def primitive(f):
+    """f divided by the gcd of its ints (f nonzero)."""
+    g = math.gcd(*chain.from_iterable(f))
+    return f if g == 1 else [(a // g, b // g) for a, b in f]
+
+
+def normalize(f):
+    """The multiple of f (nonzero) whose ints have no common factor and
+    whose leading coefficient is a positive rational integer: f times the
+    conjugate of its leading coefficient, which turns that coefficient
+    into its norm, divided by the gcd of its ints.  Multiples of one monic
+    polynomial share it, so it is clear(f / lc(f))[0]: the cleared monic
+    polynomial."""
+    a, b = f[-1]
+    return primitive([mul(x, (a - b, -b)) for x in f])
+
+
+def derivative(f):
+    return [(k * a, k * b) for k, (a, b) in enumerate(f) if k]
+
+
+def _remainder(f, g):
+    """The remainder of c*f on division by g (deg f >= deg g >= 0), where
+    c is lc(g) to the number of steps that had a term to cancel: the
+    pseudo-remainder without its idle factors of lc(g)."""
+    n = len(g) - 1
+    la, lb = g[-1]
+    ra = [a for a, _ in f]
+    rb = [b for _, b in f]
+    for k in range(len(f) - 1, n - 1, -1):
+        ca, cb = ra[k], rb[k]
+        if not (ca or cb):
+            continue
+        for i in range(k):  # r = lc(g) * r, below the cancelled term
+            a, b = ra[i], rb[i]
+            bb = b * lb
+            ra[i], rb[i] = a * la - bb, a * lb + b * la - bb
+        for i, (ga, gb) in enumerate(g[:-1], k - n):  # r -= r_k * x^(k-n) * g
+            bb = cb * gb
+            ra[i] -= ca * ga - bb
+            rb[i] -= ca * gb + cb * ga - bb
+    out = list(zip(ra[:n], rb[:n]))
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def gcd(f, g):
+    """A gcd over Q(rho) of f and g (f nonzero), primitive, by Collins'
+    primitive PRS: a pseudo-remainder sequence in which every remainder
+    is divided by the gcd of its ints.  Both steps keep the gcd up to a
+    factor in Q(rho), and the last nonzero remainder divides the one
+    before it, hence every term of the sequence."""
+    if len(f) < len(g):
+        f, g = g, f
+    f = primitive(f)
+    while g:
+        g = primitive(g)
+        f, g = g, _remainder(f, g)
+    return f
+
+
+def value(f, root):
+    """d^n * f(x/d) for n = deg f and root = (a, b, d), x = a + b*rho,
+    d != 0: Horner's rule on d^n * f(y/d) = sum f_i * y^i * d^(n-i), a
+    pair that is zero exactly when f vanishes at x/d."""
+    xa, xb, d = root
+    ya, yb = f[-1]
+    dk = 1
+    for a, b in reversed(f[:-1]):
+        dk *= d
+        bb = yb * xb
+        ya, yb = ya * xa - bb + a * dk, ya * xb + yb * xa - bb + b * dk
+    return ya, yb
+
+
+def substitute(rows, root):
+    """sum_j rows[j](x/d) * y^j times d^n, for root = (a, b, d) as in
+    value and n the largest degree of the rows (polynomials in one
+    variable, [] for zero): a polynomial in y on ints."""
+    n = max(map(len, rows))
+    out = [value(r + [(0, 0)] * (n - len(r)), root) for r in rows]
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _deflate(f, root):
+    """Divide X - x/d out of f as often as it divides, for root = (a, b, d)
+    as in value; returns the normalized quotient and the count.
+    P(y) = d^n * f(y/d) is a polynomial over Z[rho] with the root x, so
+    each synthetic division by the monic y - x is exact on ints; the
+    quotient in X is Q(d*X)."""
+    xa, xb, d = root
+    n = len(f) - 1
+    p = [(a * d ** (n - i), b * d ** (n - i)) for i, (a, b) in enumerate(f)]
+    m = 0
+    while True:
+        q, ya, yb = [], 0, 0
+        for a, b in reversed(p):
+            bb = yb * xb
+            ya, yb = ya * xa - bb + a, ya * xb + yb * xa - bb + b
+            q.append((ya, yb))
+        if q.pop() != (0, 0):
+            return normalize([(a * d**i, b * d**i) for i, (a, b) in enumerate(p)]), m
+        p = q[::-1]
+        m += 1
+
+
+def _squarefree(f):
+    """The normalized squarefree part f / gcd(f, f') of the normalized f
+    (deg f >= 1).  With h the normalized gcd, of leading coefficient L,
+    L^(deg f - deg h + 1) * f / h is exact over Z[rho]: the pseudo-quotient
+    of a division without remainder."""
+    h = gcd(f, derivative(f))
+    if len(h) == 1:
+        return f
+    h = normalize(h)
+    c = h[-1][0] ** (len(f) - len(h) + 1)
+    return normalize(exact_div([(a * c, b * c) for a, b in f], h))
+
+
+def _lowest(a, b, d):
+    """The triple of (a + b*rho)/d in lowest terms, d > 0."""
+    g = math.gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def _sort_key(found):
+    """The order of scalars.scalar_sort_key on a root (a, b, d)."""
+    (a, b, d), _ = found
+    ga, gb = math.gcd(a, d), math.gcd(b, d)
+    return a // ga, d // ga, b // gb, d // gb
+
+
+def solve(f):
+    """Every root in Q(rho) of the nonzero polynomial f over Z[rho], with
+    its multiplicity, and the cofactor left once all are divided out.
+
+    Returns (found, rest): found lists ((a, b, d), m) for the root
+    (a + b*rho)/d, in lowest terms with d > 0, of multiplicity m, in the
+    order of scalars.scalar_sort_key; rest is the normalized cofactor,
+    which has no root in Q(rho).  Zero roots are stripped
+    first and degree 1 is solved in closed form.  Otherwise f is
+    normalized, the candidates of roots on its squarefree part are kept
+    only where that part vanishes exactly, and each root is divided out
+    of f for its multiplicity.  The argument that no root is missed is in
+    scalars.lambda_roots."""
+    k = next(i for i, x in enumerate(f) if x != (0, 0))
+    f = f[k:]
+    found = [((0, 0, 1), k)] if k else []
+    if len(f) == 2:
+        (a0, b0), lc = f
+        a, b = mul((-a0, -b0), (lc[0] - lc[1], -lc[1]))
+        found.append((_lowest(a, b, norm(lc)), 1))
+        f = f[1:]
+    elif len(f) > 2:
+        f = normalize(f)
+        s = _squarefree(f)
+        for root in roots(s, lambda *root: value(s, root) == (0, 0)):
+            root = _lowest(*root)
+            f, m = _deflate(f, root)
+            found.append((root, m))
+    found.sort(key=_sort_key)
+    return found, normalize(f)

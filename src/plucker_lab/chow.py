@@ -41,6 +41,14 @@ class ChowClass:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _raw(cls, coeffs: tuple, d: int) -> "ChowClass":
+        # the results of the arithmetic: coeffs is a 3x3 tuple of ints already
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "d", d)
+        return self
+
+    @classmethod
     def zero(cls, d: int) -> "ChowClass":
         return cls(((0, 0, 0),) * 3, d)
 
@@ -73,7 +81,7 @@ class ChowClass:
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
-        return ChowClass(
+        return ChowClass._raw(
             tuple(
                 tuple(x + y for x, y in zip(r1, r2))
                 for r1, r2 in zip(self.coeffs, other.coeffs)
@@ -82,7 +90,7 @@ class ChowClass:
         )
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(
+        return ChowClass._raw(
             tuple(tuple(-x for x in row) for row in self.coeffs), self.d
         )
 
@@ -91,7 +99,7 @@ class ChowClass:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ChowClass(
+            return ChowClass._raw(
                 tuple(tuple(other * x for x in row) for row in self.coeffs),
                 self.d,
             )
@@ -148,7 +156,7 @@ def chow_mul(x: ChowClass, y: ChowClass) -> ChowClass:
                     if a > 2 or b > 2:
                         continue
                     grid[a][b] += v1 * v2
-    return ChowClass(tuple(tuple(r) for r in grid), x.d)
+    return ChowClass._raw(tuple(tuple(r) for r in grid), x.d)
 
 
 def chern_twist(c1: ChowClass, c2: ChowClass, c3: ChowClass, m: ChowClass):

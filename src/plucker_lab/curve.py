@@ -19,14 +19,14 @@ from .scalars import (
     ZERO,
     EisensteinScalar,
     LambdaPoly,
-    lambda_roots,
+    lambda_roots,  # noqa: F401 -- perfbench traces curve.lambda_roots by name
     scalar_sort_key,
 )
 from .polynomials import (
     MultiPoly,
     U_VARS,
     X_VARS,
-    as_scalar_univariate,
+    _chart_coefficients,
     normalize_leading,
     parse_poly,
     parse_scalar,
@@ -197,58 +197,95 @@ class PlaneCurve:
 _POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
 
 
-def _affine_zeros(polys, names, notes, at=()):
+def _table(p: MultiPoly, i: int, j: int):
+    """p cleared over Z[rho] as a list over the powers of variable j of
+    int-pair polynomials in variable i (p is free of every other
+    variable)."""
+    rows, _ = _chart_coefficients(p, j, i)
+    return rows[::-1]
+
+
+def _gcd_roots(fs, name, notes, at):
+    """The roots of the gcd of the nonzero int-pair polynomials fs in
+    name, as (a, b, d) triples, and whether none can be missing.  Empty
+    fs leave name free: the solution set is positive-dimensional.  A
+    cofactor of degree >= 3 left without roots is noted as unresolved,
+    with the values at fixed so far."""
+    if not fs:
+        if _POSITIVE_DIMENSIONAL not in notes:
+            notes.append(_POSITIVE_DIMENSIONAL)
+        return [], False
+    g = fs[0]
+    for f in fs[1:]:
+        g = _zrho.gcd(g, f)
+    if len(g) < 2:
+        return [], True
+    found, rest = _zrho.solve(g)
+    if len(rest) >= 4:
+        where = "".join(" at %s = %s" % (n, EisensteinScalar._raw(*x)) for n, x in at)
+        notes.append("unresolved degree-%d factor in %s%s" % (len(rest) - 1, name, where))
+    return [x for x, _ in found], len(rest) < 4
+
+
+def _line_zeros(fs, name, notes, at=()):
+    """Common zeros, as (a, b, d) triples, of the int-pair polynomials fs
+    in the last variable name: the roots of their gcd at which every f
+    vanishes exactly.  Returns (zeros, complete)."""
+    live = [f for f in fs if f]
+    if any(len(f) == 1 for f in live):
+        return [], True
+    values, complete = _gcd_roots(live, name, notes, at)
+    zeros = [x for x in values if all(_zrho.value(f, x) == (0, 0) for f in live)]
+    return zeros, complete
+
+
+def _affine_zeros(polys, names, notes):
     """Common zeros of lambda-free polys in the variables names (at most
-    two; every other variable is specialized already), as tuples of
-    values in the order of names.  Returns (zeros, complete).
+    two; every other variable is fixed already), as tuples of values in
+    the order of names.  Returns (zeros, complete).
 
     Elimination and back-substitution (Cox, Little & O'Shea, Ideals,
     Varieties, and Algorithms, ch. 3): the values of the first variable
     are the roots of the gcd of the polys, or, with a second variable
     left, of their resultants in it against the poly of least degree in
-    it.  Each value is substituted back and the rest solved by recursion,
-    so every zero is checked exactly on the polys themselves once no
-    variable is left.  at holds the (name, value) pairs substituted so
-    far, for the notes.
+    it.  Below the resultant everything runs on Z[rho] int pairs: each
+    poly and each resultant is cleared once, the gcds come from the
+    primitive PRS _zrho.gcd and the roots from _zrho.solve, the root core
+    of lambda_roots.  Each value is substituted into the polys' tables
+    (_zrho.substitute) and the second variable solved the same way.  A
+    zero is kept only if every poly vanishes at it exactly, and only the
+    values of kept zeros become scalars.
     """
     live = [p for p in polys if not p.is_zero()]
     if any(p.is_constant() for p in live):
         return [], True
     if not names:
         return [()], True
+    variables = polys[0].vars
     u, *rest = names
-    cons = live
-    if rest:
-        v = rest[0]
-        with_v = sorted(
-            (p for p in live if p.degree_in(v)),
-            key=lambda p: (p.degree_in(v), len(p.terms)),
-        )
-        elim = (resultant(with_v[0], q, v) for q in with_v[1:])
-        cons = [p for p in live if not p.degree_in(v)]
-        cons += [r for r in elim if not r.is_zero()]
-    if not cons:
-        if _POSITIVE_DIMENSIONAL not in notes:
-            notes.append(_POSITIVE_DIMENSIONAL)
-        return [], False
-    g = LambdaPoly(())
-    for p in cons:
-        g = g.gcd(as_scalar_univariate(p, u))
-    if g.is_constant():
-        return [], True
-    rs = lambda_roots(g)
-    if rs.unresolved:
-        notes.append(
-            "unresolved degree-%d factor in %s%s"
-            % (rs.unresolved[0].degree, u, "".join(" at %s = %s" % b for b in at))
-        )
-    zeros, complete = [], rs.complete
-    for a in rs.values:
-        tails, ok = _affine_zeros(
-            [p.specialize(u, a) for p in live], rest, notes, at + ((u, a),)
-        )
+    i = variables.index(u)
+    if not rest:
+        j = next(k for k in range(len(variables)) if k != i)  # fixed in the chart
+        zeros, complete = _line_zeros([_table(p, i, j)[0] for p in live], u, notes)
+        return [(EisensteinScalar._raw(*x),) for x in zeros], complete
+    v = rest[0]
+    j = variables.index(v)
+    with_v = sorted(
+        (p for p in live if p.degree_in(v)),
+        key=lambda p: (p.degree_in(v), len(p.terms)),
+    )
+    elim = (resultant(with_v[0], q, v) for q in with_v[1:])
+    cons = [p for p in live if not p.degree_in(v)]
+    cons += [r for r in elim if not r.is_zero()]
+    values, complete = _gcd_roots([_table(p, i, j)[0] for p in cons], u, notes, ())
+    tables = [_table(p, i, j) for p in live]
+    zeros = []
+    for x in values:
+        fs = [_zrho.substitute(rows, x) for rows in tables]
+        tails, ok = _line_zeros(fs, v, notes, ((u, x),))
         complete &= ok
-        zeros.extend((a,) + t for t in tails)
+        a = EisensteinScalar._raw(*x)
+        zeros.extend((a, EisensteinScalar._raw(*y)) for y in tails)
     return zeros, complete
 
 
@@ -267,7 +304,7 @@ def projective_common_zeros(polys):
 
     Works through the disjoint charts x_k = 1, x_j = 0 for j < k
     (k = 0, 1, 2), each by _affine_zeros.  Returns (points, complete,
-    notes); complete goes false when lambda_roots leaves a factor of
+    notes); complete goes false when _zrho.solve leaves a factor of
     degree > 2 unresolved or a chart has a positive-dimensional solution
     set.
     """
@@ -361,8 +398,10 @@ def _is_squarefree_form(form) -> bool:
     """Whether the binary form has no repeated linear factor: at t = 1 it
     is a squarefree polynomial in s, and t divides it at most once (its
     s-degree is n or n - 1)."""
-    f = LambdaPoly([EisensteinScalar._raw(a, b, 1) for a, b in form])
-    return f.degree >= len(form) - 2 and f.gcd(f.derivative()).is_constant()
+    f = list(form)
+    while f[-1] == (0, 0):
+        f.pop()
+    return len(f) >= len(form) - 1 and len(_zrho.gcd(f, _zrho.derivative(f))) == 1
 
 
 def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord:

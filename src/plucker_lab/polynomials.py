@@ -19,7 +19,6 @@ from . import _zrho
 from .scalars import (
     LAMBDA,
     ONE,
-    ZERO,
     EisensteinScalar,
     LambdaPoly,
     render_lambda_poly,
@@ -300,22 +299,6 @@ class MultiPoly:
                     term = term * powers[i][e]
             acc = acc + term
         return acc
-
-    def specialize(self, var: str, value) -> "MultiPoly":
-        """Substitute a constant for one variable; the variable stays
-        declared but no longer appears."""
-        i = self._var_index(var)
-        if not isinstance(value, EisensteinScalar):
-            value = EisensteinScalar(value)
-        out = {}
-        for exp, coeff in self.terms.items():
-            c = coeff.scale(value ** exp[i]) if exp[i] else coeff
-            if not c:
-                continue
-            nexp = exp[:i] + (0,) + exp[i + 1 :]
-            s = out.get(nexp)
-            out[nexp] = c if s is None else s + c
-        return MultiPoly._raw(self.vars, {e: c for e, c in out.items() if c})
 
     def specialize_lambda(self, value) -> "MultiPoly":
         if not isinstance(value, EisensteinScalar):
@@ -734,20 +717,6 @@ def parse_scalar(text: str) -> EisensteinScalar:
     if not c.is_constant():
         raise PolyParseError("expected a constant, found lambda", 0)
     return c.constant_value()
-
-
-def as_scalar_univariate(p: MultiPoly, var: str) -> LambdaPoly:
-    """Reinterpret a single-variable, lambda-free polynomial as a
-    univariate polynomial (over the scalars) in that variable."""
-    i = p._var_index(var)
-    coeffs = [ZERO] * (max(p.degree_in(var), 0) + 1)
-    for exp, c in p.terms.items():
-        if any(e for j, e in enumerate(exp) if j != i):
-            raise ValueError("polynomial is not univariate in %r" % var)
-        if not c.is_constant():
-            raise ValueError("lambda is still symbolic")
-        coeffs[exp[i]] = c.constant_value()
-    return LambdaPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -489,52 +489,21 @@ class RootSearch:
         return not self.unresolved
 
 
-def _squarefree_part(p: LambdaPoly) -> LambdaPoly:
-    if p.degree < 1:
-        return p
-    g = p.gcd(p.derivative())
-    if g.degree < 1:
-        return p
-    return p.exact_div(g)
-
-
-def _eisenstein_roots(g: LambdaPoly) -> list:
-    """Every root of the squarefree g (degree >= 1) that lies in Q(rho):
-    the candidates of _zrho.roots, each kept only if g vanishes at it
-    exactly."""
-
-    def vanishes(an, bn, den):
-        return not g.evaluate(EisensteinScalar._raw(an, bn, den))
-
-    cs, _ = _zrho.clear(g.coeffs)
-    return [EisensteinScalar._raw(*t) for t in _zrho.roots(cs, vanishes)]
-
-
-def _deflate(p: LambdaPoly, root: EisensteinScalar):
-    """Divide out (lambda - root) as often as it divides, by synthetic
-    division; returns (quotient, multiplicity)."""
-    mult = 0
-    while True:
-        acc = ZERO
-        quot = []  # highest power first; the last entry is p(root)
-        for c in reversed(p.coeffs):
-            acc = acc * root + c
-            quot.append(acc)
-        if quot.pop():
-            return p, mult
-        p = LambdaPoly._raw(reversed(quot))
-        mult += 1
-
-
 def lambda_roots(p: LambdaPoly) -> RootSearch:
     """All roots of p lying in Q(rho), found exactly.
 
-    Degree 1 (after stripping powers of lambda) is solved directly.  From
-    degree 2 up, the roots of the squarefree part g come from p-adic
-    lifting (Loos's rational-zero method, carried to Q(rho)), in the
-    integer kernel _zrho.roots:
+    p is cleared to Z[rho] int pairs (_zrho.clear) and handed to the
+    integer root core _zrho.solve, the one the chart solver of curve uses
+    as well; only the roots it reports become scalars.  The core strips
+    powers of lambda and solves degree 1 in closed form.  From degree 2
+    up it normalizes the polynomial to f, the cleared monic multiple of p
+    (_zrho.normalize), takes the squarefree part g = f / gcd(f, f') with
+    the primitive PRS _zrho.gcd (a gcd over Q(rho) up to a factor, so g
+    is squarefree and has the roots of f), and finds the roots of g by
+    p-adic lifting (Loos's rational-zero method, carried to Q(rho)) in
+    _zrho.roots:
 
-    - g is scaled to Eisenstein-integer coefficients c_i, with leading
+    - g has Eisenstein-integer coefficients c_i, with leading
       coefficient lc and D = N(lc) = lc*conj(lc) > 0.
     - The images: g under both maps rho -> r and rho -> r^2 to F_p, where
       p = 1 (mod 3) and r is a cube root of unity mod p.  The roots of
@@ -546,8 +515,9 @@ def lambda_roots(p: LambdaPoly) -> RootSearch:
       divide the norm of its discriminant give an image a repeated root.
     - A pair u, v of lifted roots, one per map, gives b = (u - v)/(R - R^2)
       and a = u - b*R mod p^k; the candidate root is (D*a + D*b*rho)/D,
-      with D*a and D*b taken as symmetric residues.  Candidates that do
-      not make g vanish exactly are dropped.
+      with D*a and D*b taken as symmetric residues.  A candidate is kept
+      only if g vanishes at it exactly: _zrho.value computes
+      D^n * g(candidate) on ints.
 
     Why no root is missed: a root alpha = a + b*rho of g makes lc*alpha an
     algebraic integer, hence an element of Z[rho], so D*alpha =
@@ -562,27 +532,17 @@ def lambda_roots(p: LambdaPoly) -> RootSearch:
     2*|alpha|/sqrt(3) < C = isqrt(4*M^2 // 3) + 1.  With p^k > 2*D*C the
     symmetric residues are D*a and D*b themselves.
 
-    Each root is then divided out of p for its multiplicity.  A cofactor of
-    degree >= 3 left after that has no root in Q(rho), but is still
-    returned in unresolved, and complete is False for it.
+    Each root x/d (x in Z[rho]) is then divided out of f for its
+    multiplicity, on ints: d^n * f(y/d) has the root y = x and the monic
+    divisor y - x.  A cofactor of degree >= 3 left after that has no root
+    in Q(rho), but is still returned, monic, in unresolved, and complete
+    is False for it.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every lambda as a root")
-    roots = []
-    work = p
-    # factor out powers of lambda
-    k = 0
-    while k < len(work.coeffs) and not work.coeffs[k]:
-        k += 1
-    if k:
-        roots.append((ZERO, k))
-        work = LambdaPoly._raw(work.coeffs[k:])
-    if work.degree >= 2:
-        for root in _eisenstein_roots(_squarefree_part(work)):
-            work, mult = _deflate(work, root)
-            roots.append((root, mult))
-    elif work.degree == 1:
-        roots.append((-work.coeffs[0] / work.coeffs[1], 1))
-    unresolved = (work.monic(),) if work.degree >= 3 else ()
-    roots.sort(key=lambda rm: scalar_sort_key(rm[0]))
-    return RootSearch(tuple(roots), unresolved)
+    found, rest = _zrho.solve(_zrho.clear(p.coeffs)[0])
+    roots = tuple((EisensteinScalar._raw(*x), m) for x, m in found)
+    if len(rest) < 4:
+        return RootSearch(roots, ())
+    lc = rest[-1][0]
+    return RootSearch(roots, (LambdaPoly._raw(EisensteinScalar._raw(a, b, lc) for a, b in rest),))

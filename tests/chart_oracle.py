@@ -1,0 +1,82 @@
+"""The chart solver on scalar objects: the oracle of curve._affine_zeros.
+
+This is the elimination and back-substitution of curve._affine_zeros as it
+ran on EisensteinScalar and LambdaPoly objects: gcds by LambdaPoly.gcd,
+roots by lambda_roots, and each value substituted into MultiPolys.  The
+resultants come from the same polynomials.resultant.  Zeros, notes and the
+complete flag must match the integer solver's exactly.
+"""
+
+from plucker_lab.polynomials import MultiPoly, resultant
+from plucker_lab.scalars import ZERO, EisensteinScalar, LambdaPoly, lambda_roots
+
+POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
+
+
+def specialize(p: MultiPoly, var: str, value: EisensteinScalar) -> MultiPoly:
+    """p with the constant value substituted for var; var stays declared."""
+    i = p.vars.index(var)
+    out = {}
+    for exp, coeff in p.terms.items():
+        c = coeff.scale(value ** exp[i]) if exp[i] else coeff
+        if not c:
+            continue
+        nexp = exp[:i] + (0,) + exp[i + 1 :]
+        s = out.get(nexp)
+        out[nexp] = c if s is None else s + c
+    return MultiPoly._raw(p.vars, {e: c for e, c in out.items() if c})
+
+
+def as_univariate(p: MultiPoly, var: str) -> LambdaPoly:
+    """The lambda-free p, free of every variable but var, as a LambdaPoly."""
+    i = p.vars.index(var)
+    coeffs = [ZERO] * (max(p.degree_in(var), 0) + 1)
+    for exp, c in p.terms.items():
+        assert not any(e for j, e in enumerate(exp) if j != i)
+        coeffs[exp[i]] = c.constant_value()
+    return LambdaPoly(coeffs)
+
+
+def affine_zeros(polys, names, notes, at=()):
+    """Common zeros of lambda-free polys in the variables names (at most
+    two), as tuples of scalars in the order of names; returns (zeros,
+    complete) and appends to notes, as curve._affine_zeros does."""
+    live = [p for p in polys if not p.is_zero()]
+    if any(p.is_constant() for p in live):
+        return [], True
+    if not names:
+        return [()], True
+    u, *rest = names
+    cons = live
+    if rest:
+        v = rest[0]
+        with_v = sorted(
+            (p for p in live if p.degree_in(v)),
+            key=lambda p: (p.degree_in(v), len(p.terms)),
+        )
+        elim = (resultant(with_v[0], q, v) for q in with_v[1:])
+        cons = [p for p in live if not p.degree_in(v)]
+        cons += [r for r in elim if not r.is_zero()]
+    if not cons:
+        if POSITIVE_DIMENSIONAL not in notes:
+            notes.append(POSITIVE_DIMENSIONAL)
+        return [], False
+    g = LambdaPoly(())
+    for p in cons:
+        g = g.gcd(as_univariate(p, u))
+    if g.is_constant():
+        return [], True
+    rs = lambda_roots(g)
+    if rs.unresolved:
+        notes.append(
+            "unresolved degree-%d factor in %s%s"
+            % (rs.unresolved[0].degree, u, "".join(" at %s = %s" % b for b in at))
+        )
+    zeros, complete = [], rs.complete
+    for a in rs.values:
+        tails, ok = affine_zeros(
+            [specialize(p, u, a) for p in live], rest, notes, at + ((u, a),)
+        )
+        complete &= ok
+        zeros.extend((a,) + t for t in tails)
+    return zeros, complete

@@ -1,0 +1,174 @@
+"""The chart solver on Z[rho] ints against the object-path oracle.
+
+curve._affine_zeros must give the zeros, notes and complete flag of
+chart_oracle.affine_zeros, which runs the same elimination on scalar
+objects, on random systems with planted common zeros in Q(rho), with a
+planted root-free cubic factor in either variable, and with
+positive-dimensional solution sets.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import chart_oracle
+from plucker_lab import _zrho, curve
+from plucker_lab.curve import PlaneCurve, hessian
+from plucker_lab.polynomials import X_VARS, MultiPoly, bl2_sextic
+from plucker_lab.scalars import EisensteinScalar
+
+NAMES = ("x1", "x2")
+X1 = MultiPoly.variable(X_VARS, "x1")
+X2 = MultiPoly.variable(X_VARS, "x2")
+
+_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_scalars = st.builds(EisensteinScalar, _fractions, _fractions)
+_points = st.lists(st.tuples(_scalars, _scalars), min_size=1, max_size=3, unique=True)
+# cubes of no element of Q(rho)
+_non_cubes = st.sampled_from([2, 3, 5, EisensteinScalar(2, 1), EisensteinScalar(Fraction(1, 2), 3)])
+
+
+def both(polys, names=NAMES):
+    """(zeros, complete, notes) of the integer solver, which must equal the
+    oracle's.  So must the polynomials the p-adic search _zrho.roots is
+    given: each gcd is normalized before its roots are searched, to the
+    cleared monic polynomial lambda_roots gets from LambdaPoly.gcd."""
+    searched = ([], [])
+    search = _zrho.roots
+    with pytest.MonkeyPatch.context() as mp:
+        for seen, solver in zip(searched, (curve._affine_zeros, chart_oracle.affine_zeros)):
+            mp.setattr(_zrho, "roots", lambda cs, is_root, seen=seen: seen.append(cs) or search(cs, is_root))
+            notes = []
+            seen.append((*solver(polys, names, notes), notes))
+    assert searched[0] == searched[1]
+    zeros, complete, notes = searched[0][-1]
+    return zeros, complete, notes
+
+
+def through(points, draw):
+    """A poly vanishing at every point: a sum of two products of lines,
+    one line through each point."""
+    out = MultiPoly.zero(X_VARS)
+    for _ in range(2):
+        term = MultiPoly.constant(X_VARS, draw(_scalars))
+        for a, b in points:
+            term = term * ((X1 - a).scale(draw(_scalars)) + (X2 - b).scale(draw(_scalars)))
+        out = out + term
+    return out
+
+
+def small_poly(draw):
+    """A random poly of degree <= 2 in x1, x2."""
+    out = MultiPoly.zero(X_VARS)
+    for e1, e2 in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+        c = draw(_scalars)
+        out = out + (X1**e1 * X2**e2).scale(c)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=_points, count=st.integers(2, 3), data=st.data())
+def test_planted_zeros(points, count, data):
+    polys = [through(points, data.draw) for _ in range(count)]
+    zeros, complete, notes = both(polys)
+    if chart_oracle.POSITIVE_DIMENSIONAL not in notes:
+        assert set(points) <= set(zeros)
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=_points, c=_non_cubes, data=st.data())
+def test_root_free_cubic_in_the_first_variable(points, c, data):
+    f = X1**3 - c
+    for a, _ in points:
+        f = f * (X1 - a)
+    g = through(points, data.draw) + X2 * f
+    zeros, complete, notes = both([f, g])
+    # only g has x2, so the gcd is f and its cubic stays unresolved
+    assert not complete
+    assert notes[0] == "unresolved degree-3 factor in x1"
+    if chart_oracle.POSITIVE_DIMENSIONAL not in notes:
+        assert set(points) <= set(zeros)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_scalars, b=_scalars, c=_non_cubes, data=st.data())
+def test_root_free_cubic_in_the_second_variable(a, b, c, data):
+    cubic = X2**3 - c
+    f = (X1 - a) * small_poly(data.draw) + cubic
+    g = (X1 - a) * small_poly(data.draw) + cubic * (X2 - b)
+    zeros, complete, notes = both([f, g])
+    # at x1 = a the gcd in x2 is the cubic
+    if chart_oracle.POSITIVE_DIMENSIONAL not in notes:
+        assert "unresolved degree-3 factor in x2 at x1 = %s" % a in notes
+        assert not complete
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_scalars, data=st.data())
+def test_positive_dimensional(a, data):
+    # a common curve through the chart: every resultant in x2 vanishes
+    common = X2 - small_poly(data.draw)
+    polys = [common * small_poly(data.draw) for _ in range(2)]
+    zeros, complete, notes = both(polys)
+    if all(p.degree_in("x2") for p in polys if p):
+        assert notes == [chart_oracle.POSITIVE_DIMENSIONAL] and not complete
+    # a common line x1 = a: the polys vanish identically there
+    line = X1 - a
+    polys = [line * small_poly(data.draw) + line**2 * X2 for _ in range(2)]
+    both(polys)
+
+
+def test_all_zero_and_constant_systems():
+    zero = MultiPoly.zero(X_VARS)
+    assert both([zero, zero]) == ([], False, [chart_oracle.POSITIVE_DIMENSIONAL])
+    assert both([zero], ("x2",)) == ([], False, [chart_oracle.POSITIVE_DIMENSIONAL])
+    assert both([X2 - 1, MultiPoly.constant(X_VARS, 3)]) == ([], True, [])
+    assert both([X2**2 - 4], ("x2",))[0] == [(EisensteinScalar(-2),), (EisensteinScalar(2),)]
+
+
+CURVES = (
+    "x1^2*x2 - x0^2*(x0 + x2)",
+    "x1^2*x2 - x0^3",
+    "x0^3 + x1^3 + x2^3",
+    "x0^4 + x1^4 + x2^4",
+    "x1^2*x2^2 - x0^4",
+    "(2 + rho)*x0^3 + x1^3 - 3/2*x2^3 + x0*x1*x2",
+)
+
+
+def chart_systems():
+    """The singular-locus and flex systems of CURVES, and the singular-locus
+    system of the family sextic at lambda = 2 (degree-18 eliminants with 9
+    double roots), chart by chart, as projective_common_zeros hands them
+    to _affine_zeros."""
+    sextic = bl2_sextic().specialize_lambda(EisensteinScalar(2))
+    for k in range(3):
+        yield [curve._chart(sextic.partial_derivative(v), k) for v in sextic.vars], sextic.vars[k + 1 :]
+    for text in CURVES:
+        c = PlaneCurve.from_text(text)
+        for polys in (c.partials(), [c.equation, hessian(c)]):
+            polys = [p for p in polys if not p.is_zero()]
+            for k in range(3):
+                yield [curve._chart(p, k) for p in polys], X_VARS[k + 1 :]
+
+
+def test_curve_systems_match_the_oracle():
+    for polys, names in chart_systems():
+        both(polys, names)
+
+
+def test_every_zero_is_checked_on_the_polys(monkeypatch):
+    # a root core that reports a value no poly vanishes at must not
+    # produce a zero: the leaf check substitutes every value exactly
+    solve = _zrho.solve
+    bogus = (7777, 1, 1)
+
+    def with_bogus_root(f):
+        found, rest = solve(f)
+        return found + [(bogus, 1)], rest
+
+    want = [curve._affine_zeros(polys, names, []) for polys, names in chart_systems()]
+    monkeypatch.setattr(_zrho, "solve", with_bogus_root)
+    got = [curve._affine_zeros(polys, names, []) for polys, names in chart_systems()]
+    assert got == want

@@ -61,6 +61,20 @@ def test_non_integral_coefficients_rejected():
     assert str(ChowClass(((1, 0, 0), (0, 2, 0), (0, 0, True)), 3)) == "1 + 2*l*h + l^2*h^2"
 
 
+def test_arithmetic_results_match_the_public_constructor():
+    # sums, negations, int multiples and products skip the constructor's
+    # checks; they must still be the classes it would build
+    rng = random.Random(17)
+    for _ in range(40):
+        a, b = _rand_class(rng), _rand_class(rng)
+        for r in (a + b, -a, a - b, 3 * a, a * -2, True * a, chow_mul(a, b), a * b):
+            built = ChowClass(r.coeffs, r.d)
+            assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+            assert type(r.coeffs) is tuple and len(r.coeffs) == 3
+            assert all(type(row) is tuple and len(row) == 3 for row in r.coeffs)
+            assert all(type(v) is int for row in r.coeffs for v in row)
+
+
 def test_mixed_degree_rejected():
     with pytest.raises(ValueError):
         chow_mul(ChowClass.l(2), ChowClass.l(3))

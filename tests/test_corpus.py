@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from plucker_lab import corpus
-from plucker_lab.scalars import RHO, LambdaPoly, RootSearch
+from plucker_lab.scalars import RHO, EisensteinScalar, LambdaPoly, RootSearch, scalar_sort_key
 from plucker_lab.polynomials import parse_scalar
 from plucker_lab.corpus import (
     CURVES,
@@ -165,6 +165,25 @@ def test_special_case_resolves_all_cusps_at_four_minus_four_rho():
     points = report.computed["singularities"]
     assert len(points) == 9
     assert all(s["ade"] == "A2" for s in points)
+
+
+def admissible_lambdas():
+    """The 128 admissible lambdas: rationals of height <= 9 and a + b*rho
+    with |a|, |b| <= 2, without 1, rho and rho^2."""
+    values = {EisensteinScalar(Fraction(p, q)) for p in range(-9, 10) for q in range(1, 10)}
+    values |= {EisensteinScalar(a, b) for a in range(-2, 3) for b in range(-2, 3)}
+    return sorted(values - {EisensteinScalar(1), RHO, RHO * RHO}, key=scalar_sort_key)
+
+
+def test_special_case_sweeps_every_admissible_lambda():
+    lams = admissible_lambdas()
+    assert len(lams) == 128
+    for lam in lams:
+        report = run_special_case(lam)
+        assert report.passed, report_as_text(report)
+        assert report.computed["singular_locus_complete"] is True, lam
+        points = report.computed["singularities"]
+        assert [s["ade"] for s in points] == ["A2"] * 9, lam
 
 
 def test_special_case_rejects_degenerate_lambdas():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plucker_lab import curve
-from plucker_lab.curve import PlaneCurve, singular_locus
 from plucker_lab.polynomials import bl2_sextic, parse_scalar
 from plucker_lab.scalars import (
     ONE,
@@ -20,6 +19,7 @@ from plucker_lab.scalars import (
     LambdaPoly,
     lambda_roots,
 )
+import chart_oracle
 from sqrt_oracle import eis_sqrt
 
 # monic cofactors without a root in Q(rho)
@@ -47,18 +47,21 @@ PRIME_PROBES = (
 
 
 def sextic_eliminant(lam: str) -> LambdaPoly:
-    """The largest univariate polynomial the singular-locus solver hands to
-    lambda_roots for the family sextic at lam (degree 18: 9 double roots)."""
+    """The largest univariate polynomial the chart solver finds roots of for
+    the singular locus of the family sextic at lam (degree 18: 9 double
+    roots), taken from the object-path solver of chart_oracle."""
     seen = []
 
     def record(p):
         seen.append(p)
         return lambda_roots(p)
 
+    sextic = bl2_sextic().specialize_lambda(parse_scalar(lam))
+    partials = [sextic.partial_derivative(v) for v in sextic.vars]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curve, "lambda_roots", record)
-        sextic = bl2_sextic().specialize_lambda(parse_scalar(lam))
-        singular_locus(PlaneCurve(sextic))
+        mp.setattr(chart_oracle, "lambda_roots", record)
+        for k in range(3):
+            chart_oracle.affine_zeros([curve._chart(p, k) for p in partials], sextic.vars[k + 1 :], [])
     return max(seen, key=lambda p: p.degree)
 
 

@@ -96,3 +96,81 @@ def test_form_at(form, s, t):
         EisensteinScalar(0),
     )
     assert _scalar(_zrho.form_at(form, (s, t))) == want
+
+
+# ---------------------------------------------------------------------------
+# gcd, squarefree part and values against LambdaPoly and sympy
+
+_small_polys = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=4).map(_trim)
+
+
+def _times(*polys):
+    out = [(1, 0)]
+    for p in polys:
+        out = _zrho.cross(out, p, [], [])
+    return out
+
+
+def _cleared_monic(p):
+    """clear(p / lc(p))[0]: the polynomial lambda_roots searches."""
+    return _zrho.clear(p.monic().coeffs)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_polys, _small_polys, _small_polys.filter(bool))
+def test_gcd_matches_lambda_poly_gcd(a, b, c):
+    # a planted common factor c, and the gcd of f with zero
+    f, g = _times(a, c), _times(b, c)
+    want = _lambda_poly(f).gcd(_lambda_poly(g))
+    if not f:
+        return
+    got = _zrho.gcd(f, g)
+    assert _zrho.normalize(got) == _cleared_monic(want)
+    assert _zrho.primitive(got) == got
+    assert _zrho.normalize(_zrho.gcd(f, [])) == _cleared_monic(_lambda_poly(f))
+
+
+@given(_nonzero_polys)
+def test_normalize_is_the_cleared_monic_polynomial(f):
+    n = _zrho.normalize(f)
+    assert n == _cleared_monic(_lambda_poly(f))
+    assert n[-1][0] > 0 and n[-1][1] == 0
+    assert _zrho.normalize([_zrho.mul(x, (2, 5)) for x in f]) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_polys.filter(lambda p: len(p) >= 2), _small_polys.filter(bool), st.integers(1, 3))
+def test_squarefree_part_matches_lambda_poly(a, b, k):
+    # a repeated factor a^k next to b
+    f = _zrho.normalize(_times(*[a] * k, b))
+    p = _lambda_poly(f)
+    want = p.exact_div(p.gcd(p.derivative()))
+    assert _zrho._squarefree(f) == _cleared_monic(want)
+
+
+@given(_polys.filter(bool), _pairs, st.integers(1, 20))
+def test_value_is_the_scaled_evaluation(f, x, d):
+    at = _scalar(x) / d
+    assert _scalar(_zrho.value(f, (*x, d))) == _lambda_poly(f).evaluate(at) * d ** (len(f) - 1)
+
+
+def _sympy_poly(f, sympy):
+    y = sympy.Symbol("y")
+    rho = (sympy.sqrt(-3) - 1) / 2
+    return sympy.Poly(sum((a + b * rho) * y**k for k, (a, b) in enumerate(f)), y,
+                      extension=sympy.sqrt(-3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_small_polys, _small_polys, _small_polys.filter(lambda p: len(p) >= 2), st.integers(1, 2))
+def test_gcd_and_squarefree_part_match_sympy(a, b, c, k):
+    sympy = pytest.importorskip("sympy")
+    f, g = _times(a, *[c] * k), _times(b, c)
+    if not f or not g:
+        return
+    # equal degrees and sympy's result dividing ours: the same up to a factor
+    got, want = _sympy_poly(_zrho.gcd(f, g), sympy), sympy.gcd(_sympy_poly(f, sympy), _sympy_poly(g, sympy))
+    assert got.degree() == want.degree() and got.rem(want).is_zero
+    got = _sympy_poly(_zrho._squarefree(_zrho.normalize(f)), sympy)
+    want = _sympy_poly(f, sympy).sqf_part()
+    assert got.degree() == want.degree() and got.rem(want).is_zero
