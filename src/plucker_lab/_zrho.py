@@ -8,8 +8,8 @@ u = 0..n.  Mod p^k a polynomial is a list of ints, lowest power first,
 that is only ever evaluated: its roots mod p are found by trying every
 residue.
 
-The integer kernels of the package run on this format: the Bareiss
-recurrence of the chart resultants, the Taylor jets of the singularity
+The integer kernels of the package run on this format: the subresultant
+PRS of the chart resultants, the Taylor jets of the singularity
 classifier, the normal forms and fraction-free kernel of the dual curve,
 and everything the chart solver of curve does below the resultant: the
 primitive-PRS gcd, the normal form of a polynomial up to a factor, exact
@@ -109,33 +109,58 @@ def exact_div(p, d):
     return quot
 
 
-def bareiss(mat):
-    """Determinant of a square matrix of polynomials over Z[rho] ([] is
-    zero) by Bareiss's fraction-free elimination: each step replaces an
-    entry by (entry * pivot - lead * pivot-row entry) / previous pivot, a
-    division that is exact; a zero pivot swaps in a later row."""
-    n = len(mat)
-    m = [row[:] for row in mat]
+def _power(f, n):
+    """f^n for a polynomial f and an int n >= 0."""
+    out = [(1, 0)]
+    for _ in range(n):
+        out = cross(out, f, [], [])
+    return out
+
+
+def _prem(p, q):
+    """The pseudo-remainder lc(q)^(deg p - deg q + 1) * p mod q of two
+    polynomials in x (deg p >= deg q), with its zero leading coefficients
+    dropped ([] is zero)."""
+    lc, pad = q[0], q[1:] + [[]] * (len(p) - len(q))
+    for _ in range(len(p) - len(q) + 1):
+        lead = p[0]
+        p = [cross(x, lc, lead, y) for x, y in zip(p[1:], pad)]
+    k = next((k for k, c in enumerate(p) if c), len(p))
+    return p[k:]
+
+
+def resultant(p, q):
+    """Res(p, q), the Sylvester determinant, of two polynomials in x over
+    Z[rho][y] of degree >= 1, each the list of its coefficients in x,
+    leading first, which are polynomials in y.
+
+    Collins' subresultant PRS in Brown's form: each step replaces (p, q)
+    by (q, prem(p, q) / (g*h^delta)), an exact division, where
+    delta = deg p - deg q; then g becomes the new lc(p) and h becomes
+    g^delta / h^(delta-1), starting from g = h = 1.  For a constant
+    q = c, Res = c^d / h^(d-1) with d = deg p.  A swap to deg p >= deg q,
+    and every step in which both degrees are odd, change the sign."""
     sign = 1
-    prev = [(1, 0)]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot, row_k = m[k][k], m[k]
-        for row_i in m[k + 1 :]:
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = exact_div(cross(row_i[j], pivot, lead, row_k[j]), prev)
-            row_i[k] = []
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return [(-a, -b) for a, b in det] if sign < 0 else det
+    if len(p) < len(q):
+        p, q = q, p
+        sign = -1 if (len(p) - 1) * (len(q) - 1) % 2 else 1
+    g = h = [(1, 0)]
+    while len(q) > 1:
+        dp, dq = len(p) - 1, len(q) - 1
+        if dp % 2 and dq % 2:
+            sign = -sign
+        r = _prem(p, q)
+        if not r:
+            return []
+        delta = dp - dq
+        div = cross(g, _power(h, delta), [], [])
+        p, q = q, r if div == [(1, 0)] else [exact_div(c, div) for c in r]
+        g = p[0]
+        if delta:
+            h = g if delta == 1 else exact_div(_power(g, delta), _power(h, delta - 1))
+    d = len(p) - 1
+    res = exact_div(_power(q[0], d), _power(h, d - 1)) if d > 1 else q[0]
+    return [(-a, -b) for a, b in res] if sign < 0 else res
 
 
 # ---------------------------------------------------------------------------

@@ -132,13 +132,19 @@ _EXCLUDED_LAMBDAS = (ONE, RHO, RHO * RHO)
 
 
 @functools.cache
+def _family_sextic():
+    """bl2_sextic(), built once per process and never modified."""
+    return bl2_sextic()
+
+
+@functools.cache
 def _family_obstructions():
     """The sextic family's order-3 orbit obstructions, which do not depend
     on lambda, computed once per process: a (representative text,
     obstruction, obstruction text) triple per orbit and the sorted texts
     of the exceptional lambdas, which an incomplete root search leaves
     unproven: it raises RuntimeError."""
-    obstructions = curve_orbit_obstruction(bl2_sextic(), use_quadratic_map=True)
+    obstructions = curve_orbit_obstruction(_family_sextic(), use_quadratic_map=True)
     rows = []
     exceptional = set()
     for rep in ORDER3_ORBIT_REPRESENTATIVES:
@@ -191,7 +197,7 @@ def run_special_case(lambda_value) -> ScenarioReport:
         "no order-3 orbit lies on the sextic at lambda = %s" % lam,
     )
 
-    sextic = PlaneCurve(bl2_sextic().specialize_lambda(lam))
+    sextic = PlaneCurve(_family_sextic().specialize_lambda(lam))
     report.computed["sextic"] = render_poly(sextic.equation)
     report.computed["sextic_degree"] = sextic.degree
 

@@ -601,8 +601,8 @@ def _chart_coefficients(p: MultiPoly, i: int, j):
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of a chart elimination, eliminating var: p and
     q are lambda-free with at most one live variable j besides var (other
-    inputs raise ValueError naming lambda or the variables).  _zrho.bareiss
-    takes the determinant on dense polynomials in j over Z[rho], scaled
+    inputs raise ValueError naming lambda or the variables).  _zrho.resultant
+    runs a subresultant PRS on dense polynomials in j over Z[rho], scaled
     back by D_p^-deg(q) * D_q^-deg(p) for the cleared denominators."""
     p._check_same_vars(q)
     if p.is_zero() or q.is_zero():
@@ -619,12 +619,8 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     j = others[0] if others else None
     pc, p_den = _chart_coefficients(p, i, j)
     qc, q_den = _chart_coefficients(q, i, j)
-    dp, dq = len(pc) - 1, len(qc) - 1
-    # the Sylvester matrix, [] padding as the zero polynomial
-    rows = [[[]] * k + pc + [[]] * (dq - 1 - k) for k in range(dq)]
-    rows += [[[]] * k + qc + [[]] * (dp - 1 - k) for k in range(dp)]
-    det = _zrho.bareiss(rows)
-    scale = p_den ** dq * q_den ** dp
+    det = _zrho.resultant(pc, qc)
+    scale = p_den ** (len(qc) - 1) * q_den ** (len(pc) - 1)
     zero = (0,) * len(p.vars)
     terms = {}
     for e, (a, b) in enumerate(det):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from plucker_lab import _zrho
 from plucker_lab.scalars import EisensteinScalar, LambdaPoly
+from resultant_oracle import pair_resultant
 
 _ints = st.integers(-60, 60)
 _pairs = st.tuples(_ints, _ints)
@@ -174,3 +175,95 @@ def test_gcd_and_squarefree_part_match_sympy(a, b, c, k):
     got = _sympy_poly(_zrho._squarefree(_zrho.normalize(f)), sympy)
     want = _sympy_poly(f, sympy).sqf_part()
     assert got.degree() == want.degree() and got.rem(want).is_zero
+
+
+# ---------------------------------------------------------------------------
+# The subresultant PRS of the chart resultants against the Bareiss oracle
+#
+# A polynomial in x over Z[rho][y] is the list of its coefficients in x,
+# leading first, each a polynomial in y.
+
+_y_polys = st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=3).map(_trim)
+_y_consts = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=1).map(_trim)
+
+
+def _x_polys(degree, coeffs=_y_polys):
+    """Polynomials in x of exactly the given degree (an int or a strategy)."""
+    degree = st.just(degree) if isinstance(degree, int) else degree
+    return degree.flatmap(
+        lambda d: st.tuples(coeffs.filter(bool), st.lists(coeffs, min_size=d, max_size=d))
+    ).map(lambda t: [t[0], *t[1]])
+
+
+def _x_times(f, g):
+    out = [[] for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = _zrho.cross(out[i + j], [(1, 0)], [(-1, 0)], _zrho.cross(a, b, [], []))
+    return out
+
+
+def _x_plus(f, g):
+    """f + g with f of the higher degree."""
+    g = [[]] * (len(f) - len(g)) + g
+    return [_zrho.cross(a, [(1, 0)], [(-1, 0)], b) for a, b in zip(f, g)]
+
+
+def _check_resultant(p, q):
+    """The PRS equals the Sylvester determinant, and swapping the inputs
+    multiplies it by (-1)^(deg p * deg q)."""
+    got = _zrho.resultant(p, q)
+    assert got == pair_resultant(p, q)
+    swapped = _zrho.resultant(q, p)
+    if (len(p) - 1) * (len(q) - 1) % 2:
+        swapped = [(-a, -b) for a, b in swapped]
+    assert swapped == got
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(_x_polys(st.integers(1, 5)), _x_polys(st.integers(1, 5)))
+def test_resultant_matches_bareiss(p, q):
+    _check_resultant(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_x_polys(st.sampled_from([1, 3])), _x_polys(st.sampled_from([3, 5])))
+def test_resultant_sign_with_the_lower_odd_degree_first(p, q):
+    if len(p) == len(q):
+        p = p[:2]  # degree 1 against 3
+    _check_resultant(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_x_polys(st.integers(2, 4)), _y_polys.filter(bool), st.data())
+def test_resultant_on_a_defective_chain(q, a, data):
+    # p = a*q + r, a free of x: deg p = deg q (delta = 0), and the first
+    # remainder lc(q)*r drops two or more degrees below deg q
+    r = data.draw(_x_polys(st.integers(0, len(q) - 3)))
+    p = _x_plus(_x_times([a], q), r)
+    assert len(_zrho._prem(p, q)) == len(r) <= len(q) - 2
+    _check_resultant(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_x_polys(st.integers(0, 3)), _x_polys(st.integers(0, 3)), _x_polys(st.integers(1, 2)))
+def test_resultant_with_a_shared_factor_is_zero(a, b, c):
+    p, q = _x_times(a, c), _x_times(b, c)
+    assert _check_resultant(p, q) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(_x_polys(st.integers(1, 6), _y_consts), _x_polys(st.integers(1, 6), _y_consts))
+def test_resultant_without_a_free_variable(p, q):
+    # no second live variable: every coefficient is a constant of Z[rho]
+    got = _check_resultant(p, q)
+    assert len(got) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 3), _x_polys(st.integers(1, 4)), _x_polys(st.integers(1, 4)))
+def test_resultant_with_a_leading_coefficient_vanishing_at_a_value(t, p, q):
+    # lc(p) = (y - t) * lc(p): the degree of p in x drops at y = t
+    p = [_zrho.cross(p[0], [(-t, 0), (1, 0)], [], []), *p[1:]]
+    _check_resultant(p, q)
