@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from operator import index
+from operator import add, index
 
 
 @dataclass(frozen=True)
@@ -81,27 +81,23 @@ class ChowClass:
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check(other)
+        (x0, x1, x2), (y0, y1, y2) = self.coeffs, other.coeffs
         return ChowClass._raw(
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.coeffs, other.coeffs)
-            ),
+            (tuple(map(add, x0, y0)), tuple(map(add, x1, y1)), tuple(map(add, x2, y2))),
             self.d,
         )
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass._raw(
-            tuple(tuple(-x for x in row) for row in self.coeffs), self.d
-        )
+        return self * -1
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
+            k, (x0, x1, x2) = other.__mul__, self.coeffs
             return ChowClass._raw(
-                tuple(tuple(other * x for x in row) for row in self.coeffs),
-                self.d,
+                (tuple(map(k, x0)), tuple(map(k, x1)), tuple(map(k, x2))), self.d
             )
         if isinstance(other, ChowClass):
             return chow_mul(self, other)
@@ -138,25 +134,27 @@ class ChowClass:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+# _PRODUCT[i][j]: the flat index 3a + b of the product of the monomials
+# at flat indices i and j, or None where a >= 3 or b >= 3 truncates it
+_PRODUCT = [[3 * (i // 3 + j // 3) + i % 3 + j % 3
+             if i // 3 + j // 3 < 3 and i % 3 + j % 3 < 3 else None
+             for j in range(9)] for i in range(9)]
+
+
 def chow_mul(x: ChowClass, y: ChowClass) -> ChowClass:
-    """Product with truncation: any l^a h^b with a >= 3 or b >= 3 dies."""
+    """Product with truncation: any l^a h^b with a >= 3 or b >= 3 dies.
+    Runs over the nonzero entries of both factors only, on flat grids."""
     x._check(y)
-    grid = [[0, 0, 0] for _ in range(3)]
-    for a1 in range(3):
-        for b1 in range(3):
-            v1 = x.coeffs[a1][b1]
-            if not v1:
-                continue
-            for a2 in range(3):
-                for b2 in range(3):
-                    v2 = y.coeffs[a2][b2]
-                    if not v2:
-                        continue
-                    a, b = a1 + a2, b1 + b2
-                    if a > 2 or b > 2:
-                        continue
-                    grid[a][b] += v1 * v2
-    return ChowClass._raw(tuple(tuple(r) for r in grid), x.d)
+    out = [0] * 9
+    ys = [(j, v) for j, v in enumerate(sum(y.coeffs, ())) if v]
+    for i, u in enumerate(sum(x.coeffs, ())):
+        if u:
+            row = _PRODUCT[i]
+            for j, v in ys:
+                k = row[j]
+                if k is not None:
+                    out[k] += u * v
+    return ChowClass._raw((tuple(out[0:3]), tuple(out[3:6]), tuple(out[6:9])), x.d)
 
 
 def chern_twist(c1: ChowClass, c2: ChowClass, c3: ChowClass, m: ChowClass):

@@ -13,9 +13,11 @@ Infeasible inputs are first-class results carrying the exact solution
 vector, because the interesting case analyses live exactly there.
 
 Numerology makes these calls by the hundred thousand, mostly on
-infeasible inputs, so the hot path does only its arithmetic: the error
-formats its message lazily, and the records are NamedTuples built
-positionally (being tuples, they compare equal to plain tuples).
+infeasible inputs, so the hot path does only its arithmetic: the genus
+is computed inline, the error is raised with the four derived ints as its
+args and builds its values dict and message only when they are read, and
+the records are NamedTuples built by one tuple.__new__ (being tuples,
+they compare equal to plain tuples).
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from typing import NamedTuple
 
 class InfeasibleInvariantsError(ValueError):
     """The requested invariants cannot belong to a curve with only nodes
-    and cusps; .values holds the offending derived quantities, which only
-    str() formats, so raising and catching formats nothing."""
+    and cusps.  The args are the derived (m, f, g, 2b); .values and str()
+    build their dict only when read, so raising and catching builds
+    nothing."""
 
-    def __init__(self, values: dict):
-        # BaseException.__new__ has already stored (values,) as .args
-        self.values = values
+    @property
+    def values(self) -> dict:
+        return dict(zip(("m", "f", "g", "2b"), self.args))
 
     def __str__(self):
         return "derived invariants go negative: %r" % (self.values,)
@@ -70,12 +73,12 @@ def dual_invariants(d: int, nu: int, kappa: int) -> PlueckerInvariants:
         raise ValueError("node and cusp counts must be >= 0")
     m = d * (d - 1) - 2 * nu - 3 * kappa
     f = 3 * d * (d - 2) - 6 * nu - 8 * kappa
-    g = arithmetic_genus(d) - nu - kappa
+    g = (d - 1) * (d - 2) // 2 - nu - kappa
     # (2) read for the dual: d = m(m-1) - 2b - 3f
     b2 = m * (m - 1) - 3 * f - d
     if m < 0 or f < 0 or g < 0 or b2 < 0:
-        raise InfeasibleInvariantsError({"m": m, "f": f, "g": g, "2b": b2})
-    return PlueckerInvariants(d, nu, kappa, m, f, b2 // 2, g)
+        raise InfeasibleInvariantsError(m, f, g, b2)
+    return tuple.__new__(PlueckerInvariants, (d, nu, kappa, m, f, b2 // 2, g))
 
 
 class NodeCuspSolution(NamedTuple):
@@ -117,7 +120,7 @@ def solve_nodes_cusps(d: int, g: int, m: int) -> NodeCuspSolution:
         raise ValueError("genus must be >= 0")
     if m < 2:
         raise ValueError("class must be >= 2")
-    s1 = arithmetic_genus(d) - g  # nu + kappa
+    s1 = (d - 1) * (d - 2) // 2 - g  # nu + kappa
     s2 = d * (d - 1) - m  # 2 nu + 3 kappa
     kappa = s2 - 2 * s1
     nu = 3 * s1 - s2
@@ -127,10 +130,10 @@ def solve_nodes_cusps(d: int, g: int, m: int) -> NodeCuspSolution:
         # nu = kappa = 0 is forced, so the class relation must read
         # m = d(d-1); print the equation it would have to satisfy
         violated = "%d = %d" % (m, d * (d - 1))
-    return NodeCuspSolution(
+    return tuple.__new__(NodeCuspSolution, (
         feasible,
         nu if feasible else None,
         kappa if feasible else None,
         (nu, kappa),
         violated,
-    )
+    ))

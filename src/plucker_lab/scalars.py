@@ -365,14 +365,6 @@ class LambdaPoly:
             acc = acc * value + c
         return acc
 
-    def derivative(self) -> "LambdaPoly":
-        return LambdaPoly._raw(
-            tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1)
-        )
-
-    def conjugate(self) -> "LambdaPoly":
-        return LambdaPoly._raw(tuple(c.conjugate() for c in self.coeffs))
-
     def divmod(self, other: "LambdaPoly"):
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")

@@ -193,3 +193,18 @@ def test_another_source_digest_is_refused_after_the_runs(monkeypatch, tmp_path):
     assert exit_.value.code != 0 and "(change.src_sha256 differ)" in str(exit_.value.code)
     assert bench.runs == runs + 4
     assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_below_one_are_refused_before_any_git_or_bench_work(
+        monkeypatch, tmp_path, capsys, pairs):
+    bench = _Bench(monkeypatch, tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_compare, "checkout_state", lambda: calls.append("git"))
+    monkeypatch.setattr(bench_compare, "export_tree", lambda rev, dest: calls.append("export"))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_compare.main(["--workload", "numerology", "--pairs", pairs, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "--pairs must be at least 1, got %s" % pairs in capsys.readouterr().err
+    assert calls == [] and bench.runs == 0 and not out.exists()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plucker_lab.chow import (
     EULER_ABELIAN_SURFACE,
@@ -165,3 +166,30 @@ def test_str_rendering():
     s = str(a)
     assert "l" in s and "h^2" in s
     assert str(ChowClass.zero(3)) == "0"
+
+
+def _monomials(c):
+    """A class as {(a, b): coefficient} over its nonzero entries."""
+    return {(a, b): v for a, row in enumerate(c.coeffs) for b, v in enumerate(row) if v}
+
+
+def _naive_mul(x, y):
+    """The product on dicts of monomials, truncated after the fact."""
+    out = {}
+    for (a1, b1), u in _monomials(x).items():
+        for (a2, b2), v in _monomials(y).items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + u * v
+    return {(a, b): v for (a, b), v in out.items() if a < 3 and b < 3 and v}
+
+
+_entry = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10**30, 10**30))
+_grid = st.tuples(*[st.tuples(_entry, _entry, _entry)] * 3)
+
+
+@given(x=_grid, y=_grid, d=st.integers(1, 50))
+def test_chow_mul_matches_the_monomial_dict_product(x, y, d):
+    a, b = ChowClass(x, d), ChowClass(y, d)
+    prod = chow_mul(a, b)
+    assert _monomials(prod) == _naive_mul(a, b)
+    assert prod == ChowClass(prod.coeffs, d) and prod.d == d

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -200,3 +202,64 @@ def test_twice_the_bitangent_count_is_even(d, nu, kappa):
         assert e.values["2b"] == b2
     else:
         assert 2 * inv.b == b2
+
+
+def _derived(d, nu, kappa):
+    """(m, f, g, 2b) straight from the Pluecker formulas."""
+    m = d * (d - 1) - 2 * nu - 3 * kappa
+    f = 3 * d * (d - 2) - 6 * nu - 8 * kappa
+    g = (d - 1) * (d - 2) // 2 - nu - kappa
+    return m, f, g, m * (m - 1) - 3 * f - d
+
+
+@pytest.mark.parametrize("d, nu, kappa", [(3, 4, 0), (3, 0, 2), (4, 0, 50)])
+def test_infeasible_error_survives_pickle(d, nu, kappa):
+    with pytest.raises(InfeasibleInvariantsError) as err:
+        dual_invariants(d, nu, kappa)
+    back = pickle.loads(pickle.dumps(err.value))
+    assert type(back) is InfeasibleInvariantsError
+    assert back.args == err.value.args == _derived(d, nu, kappa)
+    assert back.values == err.value.values
+    assert str(back) == str(err.value)
+
+
+def test_infeasible_values_is_a_fresh_read_only_dict():
+    with pytest.raises(InfeasibleInvariantsError) as err:
+        dual_invariants(3, 4, 0)
+    values = err.value.values
+    assert type(values) is dict and values == {"m": -2, "f": -15, "g": -3, "2b": 48}
+    values["m"] = 0
+    assert err.value.values is not values and err.value.values["m"] == -2
+    with pytest.raises(AttributeError):
+        err.value.values = {}
+
+
+@given(d=st.integers(2, 30), nu=st.integers(0, 200), kappa=st.integers(0, 200))
+def test_round_trip_records_are_the_named_tuples(d, nu, kappa):
+    m, f, g, b2 = _derived(d, nu, kappa)
+    try:
+        inv = dual_invariants(d, nu, kappa)
+    except InfeasibleInvariantsError as e:
+        assert min(m, f, g, b2) < 0
+        assert e.values == {"m": m, "f": f, "g": g, "2b": b2}
+        return
+    assert type(inv) is PlueckerInvariants
+    assert inv == PlueckerInvariants(**inv._asdict())
+    assert inv == (d, nu, kappa, m, f, b2 // 2, g)
+    sol = solve_nodes_cusps(d, inv.g, inv.m)
+    assert type(sol) is NodeCuspSolution
+    assert sol == NodeCuspSolution(**sol._asdict())
+    assert (sol.feasible, sol.nu, sol.kappa, sol.raw) == (True, nu, kappa, (nu, kappa))
+
+
+@pytest.mark.parametrize("d, g, m, violated", [
+    (18, 28, 18, None),  # feasible
+    (9, 19, 18, None),  # infeasible
+    (9, 28, 18, "18 = 72"),  # infeasible with a violated identity
+])
+def test_node_cusp_solutions_are_the_named_tuple(d, g, m, violated):
+    sol = solve_nodes_cusps(d, g, m)
+    assert type(sol) is NodeCuspSolution
+    assert sol == NodeCuspSolution(**sol._asdict())
+    assert sol.violated_identity == violated
+    assert sol._fields == ("feasible", "nu", "kappa", "raw", "violated_identity")

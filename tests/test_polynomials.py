@@ -360,17 +360,19 @@ def test_kernel_scales_by_power_of_constant(p, q, c):
 @pytest.mark.parametrize(
     "p, q",
     [
-        # Sylvester rows (1, 1, c) and (1, 1, 0): the second pivot is zero
+        # Sylvester rows (1, 1, c) and (1, 1, 0): the leading 2x2 minor is zero
         ("x2^2 + x2 + x1", "x2 + 1"),
         ("(2 + rho)*x2^2 + (2 + rho)*x1*x2 - 1/3", "x2 + x1"),
         ("x1*x2^3 + x1^2*x2^2 + 7", "x2 + x1"),
     ],
 )
-def test_kernel_zero_pivot_swaps_rows(p, q):
+def test_resultant_with_vanishing_leading_minor_matches_reference(p, q):
     p, q = parse_poly(p, X_VARS), parse_poly(q, X_VARS)
     mat = sylvester_matrix(p, q, "x2")
     minor = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    assert minor.is_zero()  # bareiss has to swap in a later row
+    # the leading 2x2 minor of the Sylvester matrix vanishes, yet the
+    # resultant is nonzero and still equals the reference determinant
+    assert minor.is_zero()
     assert not resultant(p, q, "x2").is_zero()
     assert resultant(p, q, "x2") == reference_resultant(p, q, "x2")
 

@@ -178,6 +178,8 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1, got %d" % args.pairs)
 
     better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
     head, dirty = checkout_state()
