@@ -593,20 +593,20 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     """The curve of tangent lines, as an equation in dual coordinates.
 
     Finds the form G of degree m with f | G(grad f) as one exact linear
-    kernel: column alpha (|alpha| = m) of the matrix is the normal form
-    of grad(f)^alpha modulo f with respect to f's grlex leading monomial
-    ({f} is a Groebner basis of (f) for every term order), computed from
-    the column of a neighbour alpha - e_i by one multiplication and one
-    reduction.  A zero normal form is an exact proof of divisibility, so
-    the kernel vector is the certificate.  Columns and kernel are computed
-    over Z[rho] on int pairs (_zrho.times, reduce and the fraction-free
-    _zrho.kernel), each column with a rational scale; the kernel vector is
-    unscaled at the end.  m is the predicted class when
-    the singular locus is complete and classified; otherwise the least m
-    <= d(d-1) with a nonzero kernel.  A predicted class below 2 (a union
-    of lines, whose dual is a set of points) raises ValueError; a kernel
-    that is not 1-dimensional raises DualKernelError.  A curve whose
-    Hessian vanishes identically (a rank-2 conic, concurrent lines) raises
+    kernel: column alpha (|alpha| = m) is the normal form of grad(f)^alpha
+    modulo f with respect to f's grlex leading monomial ({f} is a Groebner
+    basis of (f) for every term order), so the kernel vector is an exact
+    certificate.  Column alpha is the normal form of the product of the
+    columns of beta and alpha - beta, |beta| = m // 2: degree m needs the
+    levels m // 2 and m - m // 2, and so on down to the reduced gradients.
+    All of it runs on Z[rho] int pairs (_zrho.times, reduce and kernel),
+    each column with a rational scale undone at the end.  m is the
+    predicted class when the singular locus is complete and classified;
+    otherwise every level is built in turn up to the least m <= d(d-1)
+    with a nonzero kernel.  A predicted class below 2 (lines, whose dual
+    is a set of points) raises ValueError; a kernel that is not
+    1-dimensional raises DualKernelError.  A curve whose Hessian vanishes
+    identically (a rank-2 conic, concurrent lines) raises
     DegenerateHessianError first: by Gordan and Noether (Math. Ann. 10,
     1876) a ternary form has an identically zero Hessian exactly when its
     partials are linearly dependent, which the same kernel decides.
@@ -637,27 +637,33 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     n = _zrho.norm(lc)
     g = math.gcd(n, _zrho.content(tail))
     tail, n = list(_zrho.divide(tail, g).items()), n // g
-    # column alpha is the normal form of grad(f)^alpha, kept as (r, u, k)
-    # with r a form over Z[rho]: the normal form is r * u / n^k, up to a
-    # factor common to every column of degree m
+    # level m maps alpha to column alpha as (r, u, k), r a form over Z[rho]:
+    # the normal form is r * u / n^k; beta is taken greedily from x0 down
+    levels = {0: {(0, 0, 0): ({(0, 0, 0): (1, 0)}, 1, 0)}}
+    raw = {e: (g, 1, 0) for e, g in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), grads)}
+
+    def level(m):
+        if m not in levels:
+            h, columns = m // 2, {}
+            low, high = level(h), level(m - h) if m > 1 else raw
+            for a0 in range(m, -1, -1):
+                for a1 in range(m - a0, -1, -1):
+                    b0, b1 = min(a0, h), min(a1, max(h - a0, 0))
+                    r1, u1, k1 = low[b0, b1, h - b0 - b1]
+                    r2, u2, k2 = high[a0 - b0, a1 - b1, m - a0 - a1 - h + b0 + b1]
+                    r, k = _zrho.reduce(_zrho.times(r1, r2), lead, tail, n)
+                    u = u1 * u2
+                    if k:
+                        g = _zrho.content(r)
+                        if g > 1:
+                            r, u = _zrho.divide(r, g), u * g
+                    columns[a0, a1, m - a0 - a1] = (r, u, k1 + k2 + k)
+            levels[m] = columns
+        return levels[m]
+
     top = d * (d - 1) if m_expected is None else m_expected
-    columns = {(0, 0, 0): ({(0, 0, 0): (1, 0)}, 1, 0)}
-    for m in range(1, top + 1):
-        prev, columns = columns, {}
-        for a in range(m, -1, -1):
-            for b in range(m - a, -1, -1):
-                alpha = (a, b, m - a - b)
-                i = next(k for k in range(3) if alpha[k])
-                below = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-                r, u, k = prev[below]
-                r, k_new = _zrho.reduce(_zrho.times(r, grads[i]), lead, tail, n)
-                if k_new:
-                    g = _zrho.content(r)
-                    if g > 1:
-                        r, u = _zrho.divide(r, g), u * g
-                columns[alpha] = (r, u, k + k_new)
-        if m_expected is not None and m < m_expected:
-            continue
+    for m in range(1 if m_expected is None else top, top + 1):
+        columns = level(m)
         kernel = _zrho.kernel([r for r, _, _ in columns.values()])
         if kernel:
             break

@@ -68,14 +68,6 @@ class EisensteinScalar:
     def b(self) -> Fraction:
         return Fraction(self.bn, self.den)
 
-    def is_rational(self) -> bool:
-        return self.bn == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.bn != 0:
-            raise ValueError("not a rational number: %s" % self)
-        return Fraction(self.an, self.den)
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, EisensteinScalar):

@@ -1,10 +1,12 @@
 """The dual curve's normal forms and kernel over EisensteinScalar objects.
 
 A differential oracle for the Z[rho] int-pair code in plucker_lab._zrho
-that plucker_lab.curve.dual_curve runs on: the same column build and the
-same elimination, with every entry a Q(rho) scalar and every pivot
-normalized to 1.  Forms are dicts exponent triple -> scalar; columns are
-dicts row -> scalar.  proportional compares equations up to a scalar.
+that plucker_lab.curve.dual_curve runs on, with every entry a Q(rho)
+scalar and every pivot normalized to 1.  Its columns are built one degree
+at a time, each from a neighbour alpha - e_i by one multiplication and one
+reduction, where dual_curve multiplies two columns of about half the
+degree.  Forms are dicts exponent triple -> scalar; columns are dicts
+row -> scalar.  proportional compares equations up to a scalar.
 """
 
 import heapq

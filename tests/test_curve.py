@@ -669,6 +669,57 @@ def test_dual_of_special_sextic_is_the_hesse_cubic(lam):
     _certify(dual, sextic)
 
 
+@pytest.mark.parametrize(
+    "text, degree, calls",
+    [
+        ("x0^4 + x1^4 + x2^4", 12, 3 + 6 + 10 + 28 + 91),  # levels 1, 2, 3, 6, 12
+        (NODAL, 4, 3 + 6 + 15),  # levels 1, 2, 4
+        # two unclassified points: m is searched from 1 and every level built
+        ("x1^2*x2^3 - x0^5", 5, 3 + 6 + 10 + 15 + 21),
+    ],
+)
+def test_dual_builds_only_the_levels_the_class_needs(text, degree, calls, monkeypatch):
+    # a column of each degree 1..m (a stepping stone) would reduce 454
+    # columns for the quartic and 34 for the nodal cubic
+    reduce, count = _zrho.reduce, []
+
+    def counting(*args):
+        count.append(None)
+        return reduce(*args)
+
+    monkeypatch.setattr(_zrho, "reduce", counting)
+    assert dual_curve(_curve(text)).degree == degree
+    assert len(count) == calls
+
+
+# the curve-corpus base equations and their classes
+_CORPUS_CLASSES = {
+    "x0*x2 - x1^2": 2,
+    NODAL: 4,
+    CUSPIDAL: 3,
+    TACNODAL: 4,
+    FERMAT: 6,
+    "x0^4 + x1^4 + x2^4": 12,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    text=st.sampled_from(sorted(_CORPUS_CLASSES)),
+    perm=st.permutations(range(3)),
+    scales=st.lists(
+        st.builds(EisensteinScalar, st.integers(-2, 2), st.integers(-2, 2)).filter(bool),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_split_dual_matches_the_stepping_stone_oracle(text, perm, scales):
+    # x_i -> scales[i] * x_perm[i]: a monomial image of a corpus curve
+    m = [[scales[i] if k == perm[i] else ZERO for k in range(3)] for i in range(3)]
+    c = PlaneCurve(parse_poly(text, X_VARS).substitute(_linear_images(m, X_VARS)))
+    assert dual_curve(c).equation == dual_oracle.dual(c, _CORPUS_CLASSES[text])
+
+
 def test_dual_of_a_double_conic_has_no_unique_kernel():
     with pytest.raises(DualKernelError) as exc:
         dual_curve(_curve("(x0^2 - x1*x2)^2"))
