@@ -1,0 +1,70 @@
+"""Byte-for-byte pins of the CLI outputs the benchmark workloads produce.
+
+golden/output_digests.json maps each command line to the sha256 of its
+exit status, stdout and stderr:
+- `scenario special --lambda=L --format json` for every admissible
+  lambda of perfbench's special-sweep;
+- `curve analyze`, `curve flexes` and `curve dual --format json` for
+  every curve-corpus input at the seeds in SEEDS.
+
+The inputs come from perfbench/workloads.py, which is only read here.
+A refactor of the curve or polynomial layers must leave every digest
+as it is.  Regenerate the file (python tests/test_output_digests.py)
+only for an intended change of output, and say so where the change is
+recorded.
+"""
+
+import hashlib
+import importlib
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "output_digests.json"
+SEEDS = (1, 20261017)
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+sys.path.remove(str(ROOT / "perfbench"))
+
+
+def _lib():
+    names = ("cli", "polynomials", "scalars")
+    return SimpleNamespace(**{m: importlib.import_module("plucker_lab." + m) for m in names})
+
+
+def command_lines(lib):
+    out = [["scenario", "special", "--lambda=" + lam, "--format", "json"]
+           for lam in workloads.admissible_lambdas(lib)]
+    texts = {}
+    for seed in SEEDS:
+        corpus = workloads.CurveCorpus(ROOT)
+        corpus.setup(lib, seed)
+        texts.update((text, None) for *_, text in corpus.cases)
+    for text in texts:
+        out += [["curve", cmd, "--format", "json", "--", text] for cmd in ("analyze", "flexes", "dual")]
+    return out
+
+
+def digests():
+    lib = _lib()
+    out = {}
+    for argv in command_lines(lib):
+        record = json.dumps(list(workloads.run_cli(lib, argv)))
+        out[" ".join(argv)] = hashlib.sha256(record.encode("utf-8")).hexdigest()
+    return out
+
+
+def test_outputs_match_the_pinned_digests():
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = digests()
+    assert sorted(got) == sorted(want)
+    changed = [k for k in want if got[k] != want[k]]
+    assert not changed, "%d outputs changed, first: %s" % (len(changed), changed[0])
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
