@@ -197,6 +197,41 @@ def divide(v, g):
     return {k: (a // g, b // g) for k, (a, b) in v.items()}
 
 
+def table(form, v, u):
+    """The sparse form as a list over the powers of variable v of dense
+    polynomials in variable u, with no trailing empty row (None for v or
+    u: that exponent is read as 0).  No two terms may share their
+    exponents of u and v, as in a chart of a homogeneous form."""
+    rows = []
+    for e, x in form.items():
+        r, at = e[v] if v is not None else 0, e[u] if u is not None else 0
+        rows.extend([] for _ in range(r + 1 - len(rows)))
+        rows[r].extend([(0, 0)] * (at + 1 - len(rows[r])))
+        rows[r][at] = x
+    return rows
+
+
+def gradient(f):
+    """The three partial derivatives of the ternary form f."""
+    return [
+        {e[:i] + (e[i] - 1,) + e[i + 1 :]: (e[i] * a, e[i] * b) for e, (a, b) in f.items() if e[i]}
+        for i in range(3)
+    ]
+
+
+def hessian(f):
+    """The determinant of the matrix of second partials of the ternary
+    form f: with rows (a, b, c), (b, e, g), (c, g, i) it is
+    a*e*i + 2*b*c*g - a*g^2 - e*c^2 - i*b^2."""
+    (a, b, c), (_, e, g), (_, _, i) = (gradient(h) for h in gradient(f))
+    out = {}
+    for k, x, y, z in ((1, a, e, i), (2, b, c, g), (-1, a, g, g), (-1, e, c, c), (-1, i, b, b)):
+        for m, (xa, xb) in times(times(x, y), z).items():
+            sa, sb = out.get(m, (0, 0))
+            out[m] = (sa + k * xa, sb + k * xb)
+    return {m: x for m, x in out.items() if x != (0, 0)}
+
+
 def times(p, g):
     """The product of two ternary forms."""
     out = {}

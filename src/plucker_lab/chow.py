@@ -181,12 +181,13 @@ def incidence_numerology(d: int) -> dict:
     """
     if d < 1:
         raise ValueError("polarization degree must be >= 1")
-    l = ChowClass.l(d)
-    h = ChowClass.h(d)
+    # d >= 1 was checked, so the classes skip the validating constructor
+    l = ChowClass._raw(((0, 0, 0), (1, 0, 0), (0, 0, 0)), d)
+    h = ChowClass._raw(((0, 1, 0), (0, 0, 0), (0, 0, 0)), d)
     # c(J1) = (1 + 2l + l^2)(1 + l): c1 = 3l, c2 = 3l^2, c3 = l^3 -> 0
     c1 = 3 * l
     c2 = 3 * chow_mul(l, l)
-    c3 = ChowClass.zero(d)
+    c3 = ChowClass._raw(((0, 0, 0),) * 3, d)
     c1e, c2e, c3e = chern_twist(c1, c2, c3, h)
     gamma = c3e
     # canonical class of (surface) x (plane): 0 + (-3h)

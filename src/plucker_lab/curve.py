@@ -26,11 +26,9 @@ from .polynomials import (
     MultiPoly,
     U_VARS,
     X_VARS,
-    _chart_coefficients,
     normalize_leading,
     parse_poly,
     parse_scalar,
-    resultant,
 )
 
 
@@ -148,9 +146,15 @@ class SingularLocus:
 
 class PlaneCurve:
     """A nonzero homogeneous equation in three variables, lambda-free
-    (specialize lambda before constructing)."""
+    (specialize lambda before constructing).
 
-    __slots__ = ("equation", "degree")
+    The equation is cleared over Z[rho] once, into form: exponent ->
+    (a, b), the equation times the lcm of its denominators.  The singular
+    locus, the jets, the Hessian, the flexes and the dual all run on that
+    form with int pairs; equation, partials() and hessian() stay
+    MultiPolys for callers."""
+
+    __slots__ = ("equation", "degree", "form")
 
     def __init__(self, equation: MultiPoly):
         if equation.arity != 3:
@@ -165,6 +169,7 @@ class PlaneCurve:
             )
         object.__setattr__(self, "equation", equation)
         object.__setattr__(self, "degree", equation.total_degree())
+        object.__setattr__(self, "form", equation.cleared()[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneCurve is immutable")
@@ -195,14 +200,6 @@ class PlaneCurve:
 
 
 _POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
-
-
-def _table(p: MultiPoly, i: int, j: int):
-    """p cleared over Z[rho] as a list over the powers of variable j of
-    int-pair polynomials in variable i (p is free of every other
-    variable)."""
-    rows, _ = _chart_coefficients(p, j, i)
-    return rows[::-1]
 
 
 def _gcd_roots(fs, name, notes, at):
@@ -239,49 +236,45 @@ def _line_zeros(fs, name, notes, at=()):
     return zeros, complete
 
 
-def _affine_zeros(polys, names, notes):
-    """Common zeros of lambda-free polys in the variables names (at most
-    two; every other variable is fixed already), as tuples of values in
-    the order of names.  Returns (zeros, complete).
+def _affine_zeros(tables, names, notes):
+    """Common zeros of polynomials in the variables names (at most two;
+    every other variable is fixed already), as tuples of values in the
+    order of names.  Each polynomial is given as its chart table (see
+    _chart): rows over the powers of the second name of polynomials in
+    the first.  Returns (zeros, complete).
 
     Elimination and back-substitution (Cox, Little & O'Shea, Ideals,
     Varieties, and Algorithms, ch. 3): the values of the first variable
     are the roots of the gcd of the polys, or, with a second variable
     left, of their resultants in it against the poly of least degree in
-    it.  Below the resultant everything runs on Z[rho] int pairs: each
-    poly and each resultant is cleared once, the gcds come from the
-    primitive PRS _zrho.gcd and the roots from _zrho.solve, the root core
-    of lambda_roots.  Each value is substituted into the polys' tables
+    it.  Everything runs on Z[rho] int pairs: the resultants come from the
+    subresultant PRS _zrho.resultant, the gcds from the primitive PRS
+    _zrho.gcd and the roots from _zrho.solve, the root core of
+    lambda_roots.  Each value is substituted into the tables
     (_zrho.substitute) and the second variable solved the same way.  A
     zero is kept only if every poly vanishes at it exactly, and only the
     values of kept zeros become scalars.
     """
-    live = [p for p in polys if not p.is_zero()]
-    if any(p.is_constant() for p in live):
+    live = [t for t in tables if t]
+    if any(len(t) == 1 and len(t[0]) == 1 for t in live):  # a nonzero constant
         return [], True
     if not names:
         return [()], True
-    variables = polys[0].vars
     u, *rest = names
-    i = variables.index(u)
     if not rest:
-        j = next(k for k in range(len(variables)) if k != i)  # fixed in the chart
-        zeros, complete = _line_zeros([_table(p, i, j)[0] for p in live], u, notes)
+        zeros, complete = _line_zeros([t[0] for t in live], u, notes)
         return [(EisensteinScalar._raw(*x),) for x in zeros], complete
     v = rest[0]
-    j = variables.index(v)
     with_v = sorted(
-        (p for p in live if p.degree_in(v)),
-        key=lambda p: (p.degree_in(v), len(p.terms)),
+        (t for t in live if len(t) > 1),
+        key=lambda t: (len(t), sum(x != (0, 0) for row in t for x in row)),
     )
-    elim = (resultant(with_v[0], q, v) for q in with_v[1:])
-    cons = [p for p in live if not p.degree_in(v)]
-    cons += [r for r in elim if not r.is_zero()]
-    values, complete = _gcd_roots([_table(p, i, j)[0] for p in cons], u, notes, ())
-    tables = [_table(p, i, j) for p in live]
+    elim = (_zrho.resultant(with_v[0][::-1], t[::-1]) for t in with_v[1:])
+    cons = [t[0] for t in live if len(t) == 1] + [r for r in elim if r]
+    values, complete = _gcd_roots(cons, u, notes, ())
     zeros = []
     for x in values:
-        fs = [_zrho.substitute(rows, x) for rows in tables]
+        fs = [_zrho.substitute(t, x) for t in live]
         tails, ok = _line_zeros(fs, v, notes, ((u, x),))
         complete &= ok
         a = EisensteinScalar._raw(*x)
@@ -289,44 +282,29 @@ def _affine_zeros(polys, names, notes):
     return zeros, complete
 
 
-def _chart(p: MultiPoly, k: int) -> MultiPoly:
-    """p at x_k = 1 and x_j = 0 for j < k."""
-    out = {}
-    for exp, c in p.terms.items():
-        if not any(exp[:k]):
-            e = (0,) * (k + 1) + exp[k + 1 :]
-            out[e] = out[e] + c if e in out else c
-    return MultiPoly._raw(p.vars, {e: c for e, c in out.items() if c})
+def _chart(form, k):
+    """The chart table of the homogeneous int-pair form at x_k = 1 and
+    x_j = 0 for j < k (_zrho.table): rows over the powers of x2 of
+    polynomials in x1 for k = 0, one row in x2 for k = 1, and at most the
+    constant for k = 2."""
+    v, u = ((2, 1), (None, 2), (None, None))[k]
+    return _zrho.table({e: x for e, x in form.items() if not any(e[:k])}, v, u)
 
 
-def projective_common_zeros(polys):
-    """All common projective zeros with Eisenstein-rational coordinates.
+def projective_common_zeros(forms, variables):
+    """All common projective zeros with Eisenstein-rational coordinates
+    of homogeneous int-pair forms (exponent -> (a, b), as PlaneCurve.form)
+    in the three named variables.
 
     Works through the disjoint charts x_k = 1, x_j = 0 for j < k
-    (k = 0, 1, 2), each by _affine_zeros.  Returns (points, complete,
-    notes); complete goes false when _zrho.solve leaves a factor of
-    degree > 2 unresolved or a chart has a positive-dimensional solution
-    set.
+    (k = 0, 1, 2), each by _affine_zeros on the chart tables.  Returns
+    (points, complete, notes); complete goes false when _zrho.solve leaves
+    a factor of degree > 2 unresolved or a chart has a positive-dimensional
+    solution set.
     """
-    if not polys:
-        raise ValueError("empty polynomial system")
-    variables = polys[0].vars
-    if len(variables) != 3:
-        raise ValueError("expected a 3-variable system")
-    for p in polys:
-        if p.vars != variables:
-            raise ValueError("mixed variable sets in system")
-        if not p.lambda_free():
-            raise LambdaSymbolicError(
-                "lambda is still symbolic; specialize it first"
-            )
-    notes: list = []
-    points = []
-    complete = True
+    notes, points, complete = [], [], True
     for k in range(3):
-        zeros, ok = _affine_zeros(
-            [_chart(p, k) for p in polys], variables[k + 1 :], notes
-        )
+        zeros, ok = _affine_zeros([_chart(f, k) for f in forms], variables[k + 1 :], notes)
         complete &= ok
         points.extend(ProjectivePoint((ZERO,) * k + (ONE,) + z) for z in zeros)
     unique = sorted(set(points), key=ProjectivePoint.sort_key)
@@ -339,10 +317,10 @@ def singular_locus(c: PlaneCurve) -> SingularLocus:
     For homogeneous equations in characteristic zero these automatically
     lie on the curve (Euler identity).
     """
-    polys = [p for p in c.partials() if not p.is_zero()]
-    if not polys:
+    forms = [g for g in _zrho.gradient(c.form) if g]
+    if not forms:
         raise ValueError("all partials vanish identically")
-    points, complete, notes = projective_common_zeros(polys)
+    points, complete, notes = projective_common_zeros(forms, c.vars)
     return SingularLocus(tuple(points), complete, tuple(notes))
 
 
@@ -378,11 +356,9 @@ def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
             for e in range(d + 1)
         ])
     shift_s, shift_t = shifts
-    terms = c.equation.terms
-    coeffs, _ = _zrho.clear([cf.coeffs[0] for cf in terms.values()])
     out_a = [[0] * (n + 1) for n in range(order + 1)]
     out_b = [[0] * (n + 1) for n in range(order + 1)]
-    for exp, (ca, cb) in zip(terms, coeffs):
+    for exp, (ca, cb) in c.form.items():
         f = den ** exp[i]
         base = (ca * f, cb * f)
         for u, x in enumerate(shift_s[exp[j]]):
@@ -512,8 +488,8 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
     the rest are flexes.  classified is the (records, locus) pair of
     classified_singularities(c) when the caller has it already.
     """
-    h = hessian(c)
-    if h.is_zero():
+    h = _zrho.hessian(c.form)
+    if not h:
         raise DegenerateHessianError(
             "identically-zero Hessian: ruled or degenerate input"
         )
@@ -538,7 +514,7 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
         notes.append("flex count went negative; input likely reducible")
         total = 0
         complete = False
-    pts, ok, zero_notes = projective_common_zeros([c.equation, h])
+    pts, ok, zero_notes = projective_common_zeros([c.form, h], c.vars)
     notes.extend(zero_notes)
     complete &= ok
     sing_points = {rec.point for rec in records}
@@ -577,18 +553,6 @@ class DualKernelError(ValueError):
         self.dimension = dimension
 
 
-def _int_gradient(c: PlaneCurve):
-    """The equation cleared of denominators over Z[rho] and its three
-    partials, as sparse forms exponent -> pair."""
-    pairs, _ = _zrho.clear([cf.constant_value() for cf in c.equation.terms.values()])
-    f = dict(zip(c.equation.terms, pairs))
-    grads = [
-        {e[:i] + (e[i] - 1,) + e[i + 1 :]: (e[i] * a, e[i] * b) for e, (a, b) in f.items() if e[i]}
-        for i in range(3)
-    ]
-    return f, grads
-
-
 def dual_curve(c: PlaneCurve) -> PlaneCurve:
     """The curve of tangent lines, as an equation in dual coordinates.
 
@@ -611,7 +575,8 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     1876) a ternary form has an identically zero Hessian exactly when its
     partials are linearly dependent, which the same kernel decides.
     """
-    f, grads = _int_gradient(c)
+    f = dict(c.form)
+    grads = _zrho.gradient(f)
     if _zrho.kernel(grads):
         raise DegenerateHessianError(
             "identically-zero Hessian: the curve is a union of concurrent "
@@ -630,7 +595,7 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
             "points, not a curve" % m_expected
         )
     # n*x^lead = tail modulo f with n the norm of the leading coefficient
-    lead, _ = c.equation.leading_term()
+    lead = max(f)  # f is homogeneous: its grlex leading monomial is the lex largest
     lc = f.pop(lead)
     minus_conj = (lc[1] - lc[0], lc[1])  # lc * conj(lc) = N(lc)
     tail = {e: _zrho.mul(x, minus_conj) for e, x in f.items()}

@@ -1,13 +1,15 @@
 """Sparse multivariate polynomials over Q(rho)[lambda].
 
-Exponent vectors map to LambdaPoly coefficients, so a curve equation can
-keep the parameter lambda symbolic while x0,x1,x2 stay polynomial
-variables.  The module supplies the text grammar used everywhere
-(integers, `/`, `rho`, `lambda`, identifiers, + - * ^, parentheses),
-graded-lex canonical rendering, calculus (partials, substitution),
-the Sylvester resultant of a chart elimination over Z[rho], a
-primitive-PRS gcd, and the built-in sextic family with its quadratic
-coordinate map.
+Exponent vectors map to LambdaPoly coefficients, so an equation can keep
+lambda symbolic: the sextic family, the orbit obstruction, --lambda
+specialization.  A lambda-free curve is cleared over Z[rho] once
+(MultiPoly.cleared) and its algorithms run on the int pairs of _zrho.
+The module supplies the text grammar used everywhere (integers, `/`,
+`rho`, `lambda`, identifiers, + - * ^, parentheses), parsed into flat
+term dicts, graded-lex canonical rendering, calculus (partials,
+substitution), the Sylvester resultant of a chart elimination over
+Z[rho], a primitive-PRS gcd, and the built-in sextic family with its
+quadratic coordinate map.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from . import _zrho
 from .scalars import (
     LAMBDA,
     ONE,
+    RHO,
+    ZERO,
     EisensteinScalar,
     LambdaPoly,
     render_lambda_poly,
@@ -42,6 +46,42 @@ def _coerce_coeff(c) -> LambdaPoly:
     if isinstance(c, (int, Fraction, EisensteinScalar)):
         return LambdaPoly((c,))
     raise TypeError("cannot use %r as a coefficient" % (c,))
+
+
+def _add(p, q):
+    """The sum of two term dicts (exponent -> nonzero coefficient)."""
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e)
+        s = c if s is None else s + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _mul(p, q):
+    """The product of two term dicts."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple([a + b for a, b in zip(e1, e2)])
+            c = c1 * c2
+            s = out.get(e)
+            out[e] = c if s is None else s + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _power(p, n, one):
+    """p^n of a term dict p, for n >= 0 and one the term dict of 1."""
+    if len(p) == 1:  # a monomial: scale its exponent
+        (e, c), = p.items()
+        return {tuple([k * n for k in e]): c**n}
+    out = one
+    for _ in range(n):
+        out = _mul(out, p)
+    return out
 
 
 class MultiPoly:
@@ -138,6 +178,13 @@ class MultiPoly:
     def lambda_free(self) -> bool:
         return all(c.is_constant() for c in self.terms.values())
 
+    def cleared(self):
+        """The lambda-free polynomial cleared over Z[rho]: (form, den), the
+        form mapping each exponent to the pair (a, b) of den times its
+        coefficient a + b*rho, and den the lcm of the denominators."""
+        pairs, den = _zrho.clear([c.coeffs[0] for c in self.terms.values()])
+        return dict(zip(self.terms, pairs)), den
+
     def _var_index(self, var: str) -> int:
         try:
             return self.vars.index(var)
@@ -165,15 +212,7 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         self._check_same_vars(o)
-        out = dict(self.terms)
-        for exp, c in o.terms.items():
-            s = out.get(exp)
-            s = c if s is None else s + c
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
-        return MultiPoly._raw(self.vars, out)
+        return MultiPoly._raw(self.vars, _add(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -194,28 +233,15 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         self._check_same_vars(o)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                s = out.get(exp)
-                out[exp] = prod if s is None else s + prod
-        return MultiPoly._raw(self.vars, {e: c for e, c in out.items() if c})
+        return MultiPoly._raw(self.vars, _mul(self.terms, o.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = {(0,) * len(self.vars): LambdaPoly((ONE,))}
+        return MultiPoly._raw(self.vars, _power(self.terms, n, one))
 
     def scale(self, factor) -> "MultiPoly":
         factor = _coerce_coeff(factor)
@@ -386,98 +412,90 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([\^+\-*/()])")
+# a token, or the first character that cannot start one
+_TOKEN_RE = re.compile(r"\s*(?:(\d+|[A-Za-z_][A-Za-z0-9_]*|[\^+\-*/()])|(\S))")
 
 
 class _Parser:
+    """Recursive descent over the tokens of the text.  Every value is a
+    term dict: exponent tuples, one slot per variable and a last one for
+    lambda, to nonzero EisensteinScalars; parse_poly makes a MultiPoly of
+    the result once, at the end."""
+
     def __init__(self, text: str, variables):
-        self.text = text
         self.vars = tuple(variables)
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise PolyParseError("unexpected character %r" % text[pos], pos)
-            self.tokens.append((m.group(0), pos))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            if m.group(2):
+                raise PolyParseError("unexpected character %r" % m.group(2), m.start(2))
+            self.tokens.append((m.group(1), m.start(1)))
         self.tokens.append((None, len(text)))
         self.i = 0
+        self.zero = zero = (0,) * (len(self.vars) + 1)
+        units = reversed([*enumerate(self.vars)])  # the first of two equal names wins
+        self.units = {v: zero[:k] + (1,) + zero[k + 1 :] for k, v in units}
+        self.units["lambda"] = zero[:-1] + (1,)
 
     def peek(self):
         return self.tokens[self.i][0]
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
 
     def advance(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def parse(self) -> MultiPoly:
+    def parse(self) -> dict:
         p = self.expr()
-        if self.peek() is not None:
-            raise PolyParseError(
-                "syntax error (expected operator or end of input)", self.pos()
-            )
+        tok, pos = self.tokens[self.i]
+        if tok is not None:
+            raise PolyParseError("syntax error (expected operator or end of input)", pos)
         return p
 
-    def expr(self) -> MultiPoly:
-        negate = False
-        if self.peek() in ("+", "-"):
-            negate = self.advance()[0] == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while self.peek() in ("+", "-"):
-            op = self.advance()[0]
+    def expr(self) -> dict:
+        op = self.advance()[0] if self.peek() in ("+", "-") else "+"
+        acc = {}
+        while True:
             t = self.term()
-            acc = acc - t if op == "-" else acc + t
-        return acc
+            acc = _add(acc, {e: -c for e, c in t.items()} if op == "-" else t)
+            if self.peek() not in ("+", "-"):
+                return acc
+            op = self.advance()[0]
 
-    def term(self) -> MultiPoly:
+    def term(self) -> dict:
         acc = self.power()
         while self.peek() in ("*", "/"):
             op, oppos = self.advance()
             rhs = self.power()
             if op == "*":
-                acc = acc * rhs
-            else:
-                if not rhs.is_constant():
-                    raise PolyParseError(
-                        "can only divide by a constant", oppos
-                    )
-                c = rhs.constant_coefficient()
-                if not c.is_constant():
-                    raise PolyParseError(
-                        "cannot divide by a lambda-dependent value", oppos
-                    )
-                s = c.constant_value()
-                if not s:
-                    raise PolyParseError("division by zero", oppos)
-                acc = acc.scale(s.inverse())
+                acc = _mul(acc, rhs)
+                continue
+            if any(any(e[:-1]) for e in rhs):
+                raise PolyParseError("can only divide by a constant", oppos)
+            if any(e[-1] for e in rhs):
+                raise PolyParseError("cannot divide by a lambda-dependent value", oppos)
+            if not rhs:
+                raise PolyParseError("division by zero", oppos)
+            inv = rhs[self.zero].inverse()
+            acc = {e: c * inv for e, c in acc.items()}
         return acc
 
-    def power(self) -> MultiPoly:
+    def power(self) -> dict:
         base = self.atom()
-        if self.peek() == "^":
-            self.advance()
-            tok, pos = self.advance()
-            if tok is None or not tok.isdigit():
-                raise PolyParseError("expected integer exponent", pos)
-            base = base ** int(tok)
-        return base
+        if self.peek() != "^":
+            return base
+        self.advance()
+        tok, pos = self.advance()
+        if tok is None or not tok.isdigit():
+            raise PolyParseError("expected integer exponent", pos)
+        return _power(base, int(tok), {self.zero: ONE})
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> dict:
         tok, pos = self.advance()
         if tok is None:
             raise PolyParseError("unexpected end of input", pos)
         if tok.isdigit():
-            return MultiPoly.constant(self.vars, int(tok))
+            n = int(tok)
+            return {self.zero: EisensteinScalar._raw(n, 0, 1)} if n else {}
         if tok == "(":
             inner = self.expr()
             closer, cpos = self.advance()
@@ -485,13 +503,11 @@ class _Parser:
                 raise PolyParseError("expected ')'", cpos)
             return inner
         if tok == "rho":
-            return MultiPoly.constant(self.vars, EisensteinScalar.rho())
-        if tok == "lambda":
-            return MultiPoly.constant(self.vars, LAMBDA)
+            return {self.zero: RHO}
+        if tok in self.units:
+            return {self.units[tok]: ONE}
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            if tok not in self.vars:
-                raise PolyParseError("unknown variable %r" % tok, pos)
-            return MultiPoly.variable(self.vars, tok)
+            raise PolyParseError("unknown variable %r" % tok, pos)
         raise PolyParseError("syntax error", pos)
 
 
@@ -502,7 +518,13 @@ def parse_poly(text: str, variables) -> MultiPoly:
     declared variable names, `+ - * ^` and parentheses; whitespace is
     insignificant.  Raises PolyParseError with a character offset.
     """
-    return _Parser(text, variables).parse()
+    parser = _Parser(text, variables)
+    terms = {}
+    for (*exp, k), c in parser.parse().items():
+        coeffs = terms.setdefault(tuple(exp), [])
+        coeffs.extend([ZERO] * (k + 1 - len(coeffs)))
+        coeffs[k] = c
+    return MultiPoly._raw(parser.vars, {e: LambdaPoly._raw(cs) for e, cs in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +604,6 @@ def render_poly(p: MultiPoly) -> str:
 # ---------------------------------------------------------------------------
 # Resultants
 
-def _chart_coefficients(p: MultiPoly, i: int, j):
-    """Coefficients of p in variable i, leading first, each a Z[rho]
-    polynomial in variable j (None: no other live variable), after
-    multiplying p by the lcm of its scalar denominators; returns the
-    coefficients and that lcm."""
-    pairs, den = _zrho.clear([c.coeffs[0] for c in p.terms.values()])
-    rows = [[] for _ in range(p.degree_in(p.vars[i]) + 1)]
-    for exp, pair in zip(p.terms, pairs):
-        row = rows[exp[i]]
-        at = 0 if j is None else exp[j]
-        row.extend([(0, 0)] * (at + 1 - len(row)))
-        row[at] = pair
-    rows.reverse()
-    return rows, den
-
-
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of a chart elimination, eliminating var: p and
     q are lambda-free with at most one live variable j besides var (other
@@ -617,8 +623,8 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         names = ", ".join(p.vars[k] for k in others)
         raise ValueError("resultant in %r allows one other live variable, got %s" % (var, names))
     j = others[0] if others else None
-    pc, p_den = _chart_coefficients(p, i, j)
-    qc, q_den = _chart_coefficients(q, i, j)
+    (pf, p_den), (qf, q_den) = p.cleared(), q.cleared()
+    pc, qc = _zrho.table(pf, i, j)[::-1], _zrho.table(qf, i, j)[::-1]
     det = _zrho.resultant(pc, qc)
     scale = p_den ** (len(qc) - 1) * q_den ** (len(pc) - 1)
     zero = (0,) * len(p.vars)
@@ -708,11 +714,10 @@ def mv_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 def parse_scalar(text: str) -> EisensteinScalar:
     """Parse constant text (`-1`, `1/2`, `rho`, `1 + 2*rho`) to a scalar."""
-    p = _Parser(text, ()).parse()
-    c = p.constant_coefficient()
-    if not c.is_constant():
+    terms = _Parser(text, ()).parse()
+    if any(e != (0,) for e in terms):
         raise PolyParseError("expected a constant, found lambda", 0)
-    return c.constant_value()
+    return terms.get((0,), ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class EisensteinScalar:
         object.__setattr__(self, "den", den)
         return self
 
-    @classmethod
-    def rho(cls) -> "EisensteinScalar":
-        return cls._raw(0, 1, 1)
-
     @property
     def a(self) -> Fraction:
         return Fraction(self.an, self.den)
@@ -177,7 +173,7 @@ class EisensteinScalar:
 
 ZERO = EisensteinScalar(0)
 ONE = EisensteinScalar(1)
-RHO = EisensteinScalar.rho()
+RHO = EisensteinScalar._raw(0, 1, 1)
 
 
 def _render_fraction(q: Fraction) -> str:
@@ -238,10 +234,6 @@ class LambdaPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         return self
-
-    @classmethod
-    def lam(cls) -> "LambdaPoly":
-        return cls._raw((ZERO, ONE))
 
     @property
     def degree(self) -> int:
@@ -402,7 +394,7 @@ class LambdaPoly:
         return render_lambda_poly(self)
 
 
-LAMBDA = LambdaPoly.lam()
+LAMBDA = LambdaPoly._raw((ZERO, ONE))
 
 
 def _scalar_factor_text(c: EisensteinScalar) -> str:

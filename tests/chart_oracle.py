@@ -1,16 +1,27 @@
 """The chart solver on scalar objects: the oracle of curve._affine_zeros.
 
 This is the elimination and back-substitution of curve._affine_zeros as it
-ran on EisensteinScalar and LambdaPoly objects: gcds by LambdaPoly.gcd,
-roots by lambda_roots, and each value substituted into MultiPolys.  The
-resultants come from the same polynomials.resultant.  Zeros, notes and the
-complete flag must match the integer solver's exactly.
+ran on EisensteinScalar and LambdaPoly objects: charts of MultiPolys,
+resultants by polynomials.resultant, gcds by LambdaPoly.gcd, roots by
+lambda_roots, and each value substituted into MultiPolys.  Zeros, notes
+and the complete flag must match the integer solver's exactly, which
+runs on the int-pair tables of curve._chart.
 """
 
 from plucker_lab.polynomials import MultiPoly, resultant
 from plucker_lab.scalars import ZERO, EisensteinScalar, LambdaPoly, lambda_roots
 
 POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
+
+
+def chart(p: MultiPoly, k: int) -> MultiPoly:
+    """p at x_k = 1 and x_j = 0 for j < k."""
+    out = {}
+    for exp, c in p.terms.items():
+        if not any(exp[:k]):
+            e = (0,) * (k + 1) + exp[k + 1 :]
+            out[e] = out[e] + c if e in out else c
+    return MultiPoly._raw(p.vars, {e: c for e, c in out.items() if c})
 
 
 def specialize(p: MultiPoly, var: str, value: EisensteinScalar) -> MultiPoly:

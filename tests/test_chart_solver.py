@@ -1,10 +1,13 @@
 """The chart solver on Z[rho] ints against the object-path oracle.
 
-curve._affine_zeros must give the zeros, notes and complete flag of
-chart_oracle.affine_zeros, which runs the same elimination on scalar
-objects, on random systems with planted common zeros in Q(rho), with a
-planted root-free cubic factor in either variable, and with
-positive-dimensional solution sets.
+curve._affine_zeros, on int-pair chart tables, must give the zeros, notes
+and complete flag of chart_oracle.affine_zeros, which runs the same
+elimination on scalar objects, on random systems with planted common
+zeros in Q(rho), with a planted root-free cubic factor in either
+variable, and with positive-dimensional solution sets; and on the charts
+of the singular-locus and flex systems of curves, where the int-pair
+tables come from each curve's cleared form and the oracle's polynomials
+from its MultiPoly equation.
 """
 
 from fractions import Fraction
@@ -29,18 +32,27 @@ _points = st.lists(st.tuples(_scalars, _scalars), min_size=1, max_size=3, unique
 _non_cubes = st.sampled_from([2, 3, 5, EisensteinScalar(2, 1), EisensteinScalar(Fraction(1, 2), 3)])
 
 
-def both(polys, names=NAMES):
-    """(zeros, complete, notes) of the integer solver, which must equal the
-    oracle's.  So must the polynomials the p-adic search _zrho.roots is
-    given: each gcd is normalized before its roots are searched, to the
-    cleared monic polynomial lambda_roots gets from LambdaPoly.gcd."""
+def tables(polys, names):
+    """The polys, free of every variable but names, as the int-pair tables
+    curve._affine_zeros takes."""
+    u, v = ([X_VARS.index(n) for n in names] + [None, None])[:2]
+    return [_zrho.table(p.cleared()[0], v, u) for p in polys]
+
+
+def both(polys, names=NAMES, forms=None):
+    """(zeros, complete, notes) of the integer solver on the tables forms
+    (by default those of polys), which must equal the oracle's on polys.
+    So must the polynomials the p-adic search _zrho.roots is given: each
+    gcd is normalized before its roots are searched, to the cleared monic
+    polynomial lambda_roots gets from LambdaPoly.gcd."""
     searched = ([], [])
     search = _zrho.roots
+    inputs = (tables(polys, names) if forms is None else forms, polys)
     with pytest.MonkeyPatch.context() as mp:
-        for seen, solver in zip(searched, (curve._affine_zeros, chart_oracle.affine_zeros)):
+        for seen, solver, given in zip(searched, (curve._affine_zeros, chart_oracle.affine_zeros), inputs):
             mp.setattr(_zrho, "roots", lambda cs, is_root, seen=seen: seen.append(cs) or search(cs, is_root))
             notes = []
-            seen.append((*solver(polys, names, notes), notes))
+            seen.append((*solver(given, names, notes), notes))
     assert searched[0] == searched[1]
     zeros, complete, notes = searched[0][-1]
     return zeros, complete, notes
@@ -140,22 +152,26 @@ CURVES = (
 def chart_systems():
     """The singular-locus and flex systems of CURVES, and the singular-locus
     system of the family sextic at lambda = 2 (degree-18 eliminants with 9
-    double roots), chart by chart, as projective_common_zeros hands them
-    to _affine_zeros."""
-    sextic = bl2_sextic().specialize_lambda(EisensteinScalar(2))
-    for k in range(3):
-        yield [curve._chart(sextic.partial_derivative(v), k) for v in sextic.vars], sextic.vars[k + 1 :]
+    double roots), chart by chart: (tables, polys, names), the int-pair
+    chart tables of the cleared forms as projective_common_zeros hands
+    them to _affine_zeros, and the oracle's MultiPoly charts."""
+    sextic = PlaneCurve(bl2_sextic().specialize_lambda(EisensteinScalar(2)))
+    systems = [(sextic, _zrho.gradient(sextic.form), sextic.partials())]
     for text in CURVES:
         c = PlaneCurve.from_text(text)
-        for polys in (c.partials(), [c.equation, hessian(c)]):
-            polys = [p for p in polys if not p.is_zero()]
-            for k in range(3):
-                yield [curve._chart(p, k) for p in polys], X_VARS[k + 1 :]
+        systems.append((c, _zrho.gradient(c.form), c.partials()))
+        systems.append((c, [c.form, _zrho.hessian(c.form)], [c.equation, hessian(c)]))
+    for c, forms, polys in systems:
+        live = [(f, p) for f, p in zip(forms, polys) if not p.is_zero()]
+        assert all(f for f, _ in live)
+        for k in range(3):
+            yield ([curve._chart(f, k) for f, _ in live],
+                   [chart_oracle.chart(p, k) for _, p in live], c.vars[k + 1 :])
 
 
 def test_curve_systems_match_the_oracle():
-    for polys, names in chart_systems():
-        both(polys, names)
+    for forms, polys, names in chart_systems():
+        both(polys, names, forms)
 
 
 def test_every_zero_is_checked_on_the_polys(monkeypatch):
@@ -168,7 +184,7 @@ def test_every_zero_is_checked_on_the_polys(monkeypatch):
         found, rest = solve(f)
         return found + [(bogus, 1)], rest
 
-    want = [curve._affine_zeros(polys, names, []) for polys, names in chart_systems()]
+    want = [curve._affine_zeros(forms, names, []) for forms, _, names in chart_systems()]
     monkeypatch.setattr(_zrho, "solve", with_bogus_root)
-    got = [curve._affine_zeros(polys, names, []) for polys, names in chart_systems()]
+    got = [curve._affine_zeros(forms, names, []) for forms, _, names in chart_systems()]
     assert got == want

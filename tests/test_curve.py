@@ -757,8 +757,11 @@ def _forms_under_unit_matrices(draw):
 def test_dependent_partials_decide_a_zero_hessian(c):
     # Gordan-Noether: a ternary form has an identically zero Hessian
     # exactly when its partials are linearly dependent
-    _, grads = curve._int_gradient(c)
-    assert bool(_zrho.kernel(grads)) == hessian(c).is_zero()
+    assert bool(_zrho.kernel(_zrho.gradient(c.form))) == hessian(c).is_zero()
+    # the int-pair Hessian of the cleared form L * F is L^3 times hess(F)
+    lcm = math.lcm(*(cf.constant_value().den for cf in c.equation.terms.values()))
+    want = {e: cf.constant_value() * lcm**3 for e, cf in hessian(c).terms.items()}
+    assert {e: EisensteinScalar(*x) for e, x in _zrho.hessian(c.form).items()} == want
 
 
 def test_dual_rejects_identically_zero_hessian():

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plucker_lab import curve
+from plucker_lab import _zrho, curve
+from plucker_lab.curve import PlaneCurve
 from plucker_lab.polynomials import bl2_sextic, parse_scalar
 from plucker_lab.scalars import (
     ONE,
@@ -49,20 +50,30 @@ PRIME_PROBES = (
 def sextic_eliminant(lam: str) -> LambdaPoly:
     """The largest univariate polynomial the chart solver finds roots of for
     the singular locus of the family sextic at lam (degree 18: 9 double
-    roots), taken from the object-path solver of chart_oracle."""
-    seen = []
+    roots), taken from the object-path solver of chart_oracle.  The
+    integer solver, run on the int-pair chart tables of the cleared
+    sextic, must search the same polynomial up to a factor."""
+    seen, solved = [], []
+    solve = _zrho.solve
 
     def record(p):
         seen.append(p)
         return lambda_roots(p)
 
-    sextic = bl2_sextic().specialize_lambda(parse_scalar(lam))
-    partials = [sextic.partial_derivative(v) for v in sextic.vars]
+    sextic = PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar(lam)))
+    partials = sextic.partials()
+    grads = _zrho.gradient(sextic.form)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chart_oracle, "lambda_roots", record)
+        mp.setattr(_zrho, "solve", lambda f: solved.append(f) or solve(f))
         for k in range(3):
-            chart_oracle.affine_zeros([curve._chart(p, k) for p in partials], sextic.vars[k + 1 :], [])
-    return max(seen, key=lambda p: p.degree)
+            names = sextic.vars[k + 1 :]
+            chart_oracle.affine_zeros([chart_oracle.chart(p, k) for p in partials], names, [])
+            curve._affine_zeros([curve._chart(g, k) for g in grads], names, [])
+    elim = max(seen, key=lambda p: p.degree)
+    pairs = max(solved, key=len)
+    assert LambdaPoly([EisensteinScalar(a, b) for a, b in pairs]).monic() == elim.monic()
+    return elim
 
 
 def product(roots: dict, cofactor: LambdaPoly, scale) -> LambdaPoly:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plucker_lab import curve
+from plucker_lab import _zrho
 from plucker_lab.curve import PlaneCurve, singular_locus
 from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar, LambdaPoly
 from plucker_lab.polynomials import (
@@ -23,6 +23,7 @@ from plucker_lab.polynomials import (
     render_poly,
     resultant,
 )
+import parse_oracle
 from dual_oracle import proportional
 from resultant_oracle import bareiss_determinant, reference_resultant, sylvester_matrix
 
@@ -91,6 +92,55 @@ def test_parse_error_positions():
         parse_poly("(x0 + x1", X_VARS)
     with pytest.raises(PolyParseError):
         parse_poly("", X_VARS)
+
+
+_leaves = st.sampled_from(["0", "1", "2", "7", "12", "rho", "lambda", "x", "y"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("{} + {}".format, inner, inner),
+        st.builds("{} - {}".format, inner, inner),
+        st.builds("{}*{}".format, inner, inner),
+        st.builds("{}/{}".format, inner, inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+    )
+
+
+_texts = st.recursive(_leaves, _compound, max_leaves=8)
+
+
+def _parse_both(text):
+    """(poly, rendering) or (error message, offset) from each parser."""
+    out = []
+    for parse in (parse_poly, parse_oracle.parse_poly):
+        try:
+            p = parse(text, XY)
+            out.append((p, render_poly(p)))
+        except PolyParseError as e:
+            out.append((str(e), e.position))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_texts)
+def test_parser_matches_the_multipoly_oracle(text):
+    got, want = _parse_both(text)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_texts, data=st.data())
+def test_malformed_text_gives_the_oracle_error(text, data):
+    at = data.draw(st.integers(0, len(text)))
+    if data.draw(st.booleans()) and at < len(text):
+        text = text[:at] + text[at + 1 :]
+    else:
+        text = text[:at] + data.draw(st.sampled_from("()^*/+-#.z 0")) + text[at:]
+    got, want = _parse_both(text)
+    assert got == want
 
 
 def test_reserved_variable_names_rejected():
@@ -378,18 +428,27 @@ def test_resultant_with_vanishing_leading_minor_matches_reference(p, q):
 
 
 def chart_eliminations(lam: str):
-    """The (p, q, var) triples the singular-locus solver hands to
-    resultant for the family sextic at lam."""
+    """The (p, q) table pairs the singular-locus solver hands to
+    _zrho.resultant for the family sextic at lam, as MultiPolys: each
+    table lists the coefficients in x2, leading first, each a polynomial
+    in x1 (the chart x0 = 1)."""
     seen = []
+    run = _zrho.resultant
 
-    def record(p, q, var):
-        seen.append((p, q, var))
-        return resultant(p, q, var)
+    def record(p, q):
+        seen.append((p, q))
+        return run(p, q)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curve, "resultant", record)
+        mp.setattr(_zrho, "resultant", record)
         singular_locus(PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar(lam))))
-    return seen
+    return [(table_poly(p), table_poly(q), run(p, q)) for p, q in seen]
+
+
+def table_poly(rows):
+    n = len(rows) - 1
+    terms = {(0, i, n - k): EisensteinScalar(*x) for k, row in enumerate(rows) for i, x in enumerate(row)}
+    return MultiPoly(X_VARS, terms)
 
 
 def to_sympy(p: MultiPoly, sympy, gens):
@@ -411,12 +470,13 @@ def test_chart_resultants_match_sympy(lam):
     sympy = pytest.importorskip("sympy")
     elims = chart_eliminations(lam)
     assert elims
-    for p, q, var in elims:
-        others = [v for v in p.vars if v != var]
-        gens = [var] + others
+    for p, q, det in elims:
         # Poly.resultant eliminates the first generator
-        want = to_sympy(p, sympy, gens).resultant(to_sympy(q, sympy, gens))
-        assert to_sympy(resultant(p, q, var), sympy, others) == want
+        want = to_sympy(p, sympy, ["x2", "x0", "x1"]).resultant(to_sympy(q, sympy, ["x2", "x0", "x1"]))
+        got = resultant(p, q, "x2")
+        assert to_sympy(got, sympy, ["x0", "x1"]) == want
+        # the tables are ints, so the wrapper's result is the PRS's exactly
+        assert got == MultiPoly(X_VARS, {(0, e, 0): EisensteinScalar(*x) for e, x in enumerate(det)})
 
 
 # ---------------------------------------------------------------------------
