@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plucker_lab import _zrho
 from plucker_lab.curve import PlaneCurve, singular_locus
@@ -126,6 +126,10 @@ def _parse_both(text):
 
 @settings(max_examples=300, deadline=None)
 @given(text=_texts)
+@example(text="x/(y*lambda)")
+@example(text="x/(lambda + y)")
+@example(text="x/(lambda - lambda)")
+@example(text="-(x + 2*rho)^3/(7 - lambda*0)")
 def test_parser_matches_the_multipoly_oracle(text):
     got, want = _parse_both(text)
     assert got == want
