@@ -297,9 +297,9 @@ def _primitive(v, tag):
     return (v, tag) if g == 1 else (divide(v, g), divide(tag, g))
 
 
-def kernel(columns):
-    """Basis of the kernel of the matrix over Z[rho] with the given sparse
-    columns (row -> pair), as sparse vectors column index -> pair.
+def _eliminate(columns, block):
+    """The kernel vectors of the columns with the given indices (in
+    order), as kernel returns them.
 
     Fraction-free elimination with tags, after Bareiss: each column is
     reduced against the basis built from the columns before it, and its
@@ -314,8 +314,8 @@ def kernel(columns):
     bound on dense inputs."""
     basis = []  # (pivot row, pivot, column, tag)
     out = []
-    for j, col in enumerate(columns):
-        v, tag = col, {j: (1, 0)}
+    for j in block:
+        v, tag = columns[j], {j: (1, 0)}
         for r, piv, w, wt in basis:
             c = v.get(r)
             if c is None:
@@ -333,6 +333,94 @@ def kernel(columns):
             {k: mul(x, conj) for k, x in v.items()}, {k: mul(x, conj) for k, x in tag.items()}
         )
         basis.append((r, v[r][0], v, tag))
+    return out
+
+
+# The prime of kernel's rank test: P = 1 mod 3, so Z/P holds a primitive
+# cube root of unity W, and rho -> W maps Z[rho] onto Z/P as a ring.
+_P = 2**31 - 1
+_W = next(w for w in (pow(h, (_P - 1) // 3, _P) for h in range(2, _P)) if w != 1)
+
+
+def _blocks(columns):
+    """The nonzero columns split into the connected components of the
+    graph that links a column to the rows it touches, each block the list
+    of its column indices in order."""
+    owner, parent = {}, list(range(len(columns)))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for j, col in enumerate(columns):
+        for r in col:  # j is still a root here
+            parent[find(owner.setdefault(r, j))] = j
+    blocks = {}
+    for j, col in enumerate(columns):
+        if col:
+            blocks.setdefault(find(j), []).append(j)
+    return list(blocks.values())
+
+
+def _independent_mod_p(columns):
+    """Whether the columns are linearly independent mod (P, rho - W).
+
+    The map is a ring homomorphism, so a minor nonzero mod P is nonzero in
+    Z[rho]: True proves the columns independent over Q(rho); False
+    decides nothing."""
+    basis = []  # (pivot row, column scaled to pivot 1)
+    for col in columns:
+        v = {}
+        for k, (a, b) in col.items():
+            x = (a + b * _W) % _P
+            if x:
+                v[k] = x
+        for r, w in basis:
+            c = v.get(r)
+            if c:
+                for k, x in w.items():
+                    y = (v.get(k, 0) - c * x) % _P
+                    if y:
+                        v[k] = y
+                    else:  # c*x is nonzero, so k was present
+                        del v[k]
+        if not v:
+            return False
+        r = min(v)
+        inv = pow(v[r], -1, _P)
+        basis.append((r, {k: x * inv % _P for k, x in v.items()}))
+    return True
+
+
+def kernel(columns):
+    """Basis of the kernel of the matrix over Z[rho] with the given sparse
+    columns (row -> pair), as sparse vectors column index -> pair, in the
+    order of their last column.
+
+    The exact elimination (_eliminate) runs block by block.  A block is a
+    connected component of the graph that links a column to the rows it
+    touches; a basis vector never leaves the rows of its block, so a
+    column meets only the basis of its own block, gets the same tag as in
+    the whole matrix, and the kernel is the union of the blocks' kernels.  A zero column is a
+    kernel vector on its own and a single nonzero column is independent.
+    Every other block but the largest is first eliminated mod
+    (P, rho - W), P = 2^31 - 1: a rank can only drop under that map, so a
+    block of full rank there has no kernel, and only the rest go through
+    the exact elimination.  The largest block goes straight to it: it is
+    the one that holds the kernel of every dual in the curve corpus, so a
+    modular pass there is wasted.  An unlucky prime only costs time: the
+    exact elimination is the one source of kernel vectors."""
+    blocks = _blocks(columns)
+    largest = max(blocks, key=len, default=None)
+    out = [{j: (1, 0)} for j, col in enumerate(columns) if not col]
+    for block in blocks:
+        if len(block) > 1 and (
+            block is largest or not _independent_mod_p([columns[j] for j in block])
+        ):
+            out.extend(_eliminate(columns, block))
+    out.sort(key=max)
     return out
 
 

@@ -176,32 +176,37 @@ ONE = EisensteinScalar(1)
 RHO = EisensteinScalar._raw(0, 1, 1)
 
 
-def _render_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+def _lowest(n: int, den: int):
+    """n/den in lowest terms, as (numerator, denominator); den > 0."""
+    g = math.gcd(n, den)
+    return n // g, den // g
+
+
+def _render_ratio(n: int, d: int) -> str:
+    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def render_scalar(x: EisensteinScalar) -> str:
     """Canonical text form: `a`, `a/b`, `rho`, `a + b*rho`."""
-    a, b = x.a, x.b
-    if b == 0:
-        return _render_fraction(a)
-    if b == 1:
+    a, b = _lowest(x.an, x.den), _lowest(x.bn, x.den)
+    if b[0] == 0:
+        return _render_ratio(*a)
+    if b == (1, 1):
         rho_part = "rho"
-    elif b == -1:
+    elif b == (-1, 1):
         rho_part = "-rho"
     else:
-        rho_part = _render_fraction(b) + "*rho"
-    if a == 0:
+        rho_part = _render_ratio(*b) + "*rho"
+    if a[0] == 0:
         return rho_part
-    if b > 0:
-        return "%s + %s" % (_render_fraction(a), rho_part)
-    return "%s - %s" % (_render_fraction(a), rho_part.lstrip("-"))
+    if b[0] > 0:
+        return "%s + %s" % (_render_ratio(*a), rho_part)
+    return "%s - %s" % (_render_ratio(*a), rho_part.lstrip("-"))
 
 
 def scalar_sort_key(x: EisensteinScalar):
-    return (x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator)
+    """(numerator, denominator) of a, then of b, each in lowest terms."""
+    return _lowest(x.an, x.den) + _lowest(x.bn, x.den)
 
 
 class LambdaPoly:

@@ -692,6 +692,26 @@ def test_dual_builds_only_the_levels_the_class_needs(text, degree, calls, monkey
     assert len(count) == calls
 
 
+def test_dual_eliminates_exactly_only_the_block_with_the_kernel(monkeypatch):
+    eliminate, sizes = _zrho._eliminate, []
+
+    def counting(columns, block):
+        sizes.append(len(block))
+        return eliminate(columns, block)
+
+    monkeypatch.setattr(_zrho, "_eliminate", counting)
+    # the quartic's 91 columns fall into 16 blocks; the other 15 are full
+    # rank mod the prime, and its three partials are single columns
+    assert dual_curve(_curve("x0^4 + x1^4 + x2^4")).degree == 12
+    assert sizes == [10]
+    # a dense image is one block: the three partials, then all 28 columns
+    sizes.clear()
+    m = [[EisensteinScalar(x) for x in row] for row in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
+    moved = PlaneCurve(parse_poly(FERMAT, X_VARS).substitute(_linear_images(m, X_VARS)))
+    assert dual_curve(moved).degree == 6
+    assert sizes == [3, 28]
+
+
 # the curve-corpus base equations and their classes
 _CORPUS_CLASSES = {
     "x0*x2 - x1^2": 2,

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plucker_lab.scalars import (
     ONE,
@@ -126,6 +127,36 @@ def test_scalar_sort_key_orders_consistently():
     ordered = sorted(xs, key=scalar_sort_key)
     assert sorted(ordered, key=scalar_sort_key) == ordered
     assert len({scalar_sort_key(x) for x in xs}) == len(xs)
+
+
+def _fraction_text(q):
+    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+
+
+def _fraction_render(x):
+    """render_scalar as it was written over the Fraction parts x.a, x.b."""
+    a, b = x.a, x.b
+    if b == 0:
+        return _fraction_text(a)
+    rho_part = {1: "rho", -1: "-rho"}.get(b, _fraction_text(b) + "*rho")
+    if a == 0:
+        return rho_part
+    if b > 0:
+        return "%s + %s" % (_fraction_text(a), rho_part)
+    return "%s - %s" % (_fraction_text(a), rho_part.lstrip("-"))
+
+
+_fractions = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+)
+
+
+@given(_fractions, _fractions)
+def test_render_and_sort_key_match_the_fraction_forms(a, b):
+    # both read an, bn and den without building a Fraction
+    x = EisensteinScalar(a, b)
+    assert render_scalar(x) == _fraction_render(x)
+    assert scalar_sort_key(x) == (x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -268,3 +268,143 @@ def test_resultant_with_a_leading_coefficient_vanishing_at_a_value(t, p, q):
     # lc(p) = (y - t) * lc(p): the degree of p in x drops at y = t
     p = [_zrho.cross(p[0], [(-t, 0), (1, 0)], [], []), *p[1:]]
     _check_resultant(p, q)
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel, block by block
+
+
+def _rank(columns):
+    """The rank over Q(rho) of the sparse columns, by sympy: a + b*rho acts
+    on the basis (1, rho) of Q(rho) over Q as [[a, -b], [b, a - b]], and a
+    rank over Q(rho) doubles in that regular representation."""
+    sympy = pytest.importorskip("sympy")
+    rows = sorted({r for col in columns for r in col})
+    m = sympy.zeros(2 * len(rows), 2 * len(columns))
+    for j, col in enumerate(columns):
+        for i, r in enumerate(rows):
+            a, b = col.get(r, (0, 0))
+            m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = sympy.Matrix([[a, -b], [b, a - b]])
+    rank = m.rank()
+    assert rank % 2 == 0
+    return rank // 2
+
+
+def _combination(cols, weights):
+    """sum of weights[i] * cols[i], zeros dropped."""
+    out = {}
+    for col, x in zip(cols, weights):
+        for r, y in col.items():
+            a, b = out.get(r, (0, 0))
+            p, q = _zrho.mul(x, y)
+            out[r] = (a + p, b + q)
+    return {r: x for r, x in out.items() if x != (0, 0)}
+
+
+_small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _block_matrices(draw):
+    """Sparse columns over disjoint row sets, one per block, and up to two
+    zero columns, in an interleaved order.  A block is random (its zero
+    entries may split it further) or upper triangular and so of full
+    rank, either with a combination of two of its columns appended, a
+    kernel vector of that block."""
+    columns = []
+    for b in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            cols = [
+                {(b, r): x for r in range(rows) if any(x := draw(_small))}
+                for _ in range(draw(st.integers(1, 5)))
+            ]
+        else:
+            cols = [
+                {(b, r): draw(_small.filter(any)) if r == k else draw(_small) for r in range(k, rows)}
+                for k in range(draw(st.integers(1, rows)))
+            ]
+            cols = [{r: x for r, x in col.items() if any(x)} for col in cols]
+        if len(cols) > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(len(cols))))[:2]
+            cols.append(_combination([cols[i], cols[j]], [draw(_small), draw(_small)]))
+        columns.extend(cols)
+    columns += [{}] * draw(st.integers(0, 2))  # zero columns, each a kernel vector
+    return [columns[i] for i in draw(st.permutations(range(len(columns))))]
+
+
+def _check_kernel(columns):
+    kernel = _zrho.kernel(columns)
+    assert kernel == _zrho._eliminate(columns, range(len(columns)))
+    assert len(kernel) == len(columns) - _rank(columns)
+    for vec in kernel:
+        assert not _combination([columns[j] for j in vec], list(vec.values()))
+    return kernel
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_matrices())
+def test_kernel_by_blocks_is_the_plain_elimination(columns):
+    _check_kernel(columns)
+
+
+def test_kernel_with_zero_columns_and_kernels_in_two_blocks():
+    # blocks {0, 3, 5}, {1, 4} and zero columns 2, 6; column 5 = 0 + 3
+    # and column 4 = rho * column 1
+    columns = [
+        {0: (1, 0), 1: (2, 1)},
+        {2: (1, 1)},
+        {},
+        {0: (0, 1), 1: (3, 0)},
+        {2: (-1, 0)},
+        {0: (1, 1), 1: (5, 1)},
+        {},
+    ]
+    kernel = _check_kernel(columns)
+    assert [max(vec) for vec in kernel] == [2, 4, 5, 6]
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """The index lists of the blocks kernel passes to the exact elimination."""
+    eliminate, blocks = _zrho._eliminate, []
+
+    def counting(columns, block):
+        blocks.append(list(block))
+        return eliminate(columns, block)
+
+    monkeypatch.setattr(_zrho, "_eliminate", counting)
+    return blocks
+
+
+def test_kernel_with_a_largest_block_of_full_rank(eliminated):
+    # an invertible 3 x 3 block, and a 2-column block whose second column
+    # is twice its first, the only kernel vector
+    columns = [
+        {0: (1, 0), 1: (1, 1)},
+        {5: (1, 2)},
+        {1: (2, 0), 2: (0, 1)},
+        {5: (2, 4)},
+        {0: (3, 0), 2: (1, -1)},
+    ]
+    assert _check_kernel(columns) == [{1: (-2, 0), 3: (1, 0)}]
+    # the largest block is eliminated exactly although it has full rank
+    assert sorted(eliminated[:2]) == [[0, 2, 4], [1, 3]]
+
+
+def test_a_block_singular_only_mod_p_is_eliminated_exactly(eliminated):
+    sympy = pytest.importorskip("sympy")
+    p, w = _zrho._P, _zrho._W
+    assert sympy.isprime(p) and w != 1 and (w * w + w + 1) % p == 0
+    # [[1, 1], [1, 1 + rho - w]] has determinant rho - w, which is nonzero
+    # in Z[rho] but zero mod (p, rho - w): the rank test cannot prove it
+    # independent, and the exact elimination finds it has no kernel
+    unlucky = [{0: (1, 0), 1: (1, 0)}, {0: (1, 0), 1: (1 - w, 1)}]
+    assert not _zrho._independent_mod_p(unlucky)
+    # the largest block: three columns with column 2 = column 0 + column 1
+    big = [{2: (1, 0), 3: (2, 1), 4: (1, 1)}, {2: (0, 1), 3: (3, 0)}]
+    big.append(_combination(big, [(1, 0), (1, 0)]))
+    columns = [big[0], unlucky[0], big[1], unlucky[1], big[2]]
+    kernel = _check_kernel(columns)
+    assert len(kernel) == 1 and max(kernel[0]) == 4
+    assert sorted(eliminated[:2]) == [[0, 2, 4], [1, 3]]
