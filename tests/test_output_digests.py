@@ -5,7 +5,10 @@ exit status, stdout and stderr:
 - `scenario special --lambda=L --format json` for every admissible
   lambda of perfbench's special-sweep;
 - `curve analyze`, `curve flexes` and `curve dual --format json` for
-  every curve-corpus input at the seeds in SEEDS.
+  every curve-corpus input at the seeds in SEEDS;
+- `heisenberg check-curve --format json`, plain and with
+  `--quadratic-map`, on each of CHECK_CURVES, and `heisenberg orbit
+  --format json` on each of ORBIT_POINTS (orbits of size 3, 9, 9 and 18).
 
 The inputs come from perfbench/workloads.py, which is only read here.
 A refactor of the curve or polynomial layers must leave every digest
@@ -24,6 +27,22 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "output_digests.json"
 SEEDS = (1, 20261017)
+
+# (variables, text): the README example, the coordinate triangle, a curve
+# with rho coefficients and the sextic family of bl2_sextic
+CHECK_CURVES = (
+    ("x0,x1,x2", "x0^6 + x1^6 + x2^6 - lambda*x0^2*x1^2*x2^2"),
+    ("x0,x1,x2", "x0*x1*x2"),
+    ("x0,x1,x2", "x0^3 + rho*x1^3 + x2^3 - 3*lambda*x0*x1*x2"),
+    (
+        "y0,y1,y2",
+        "y0^6 - 6*lambda^2*y0^4*y1*y2 + (-2 + 4*lambda^3)*y0^3*y1^3"
+        " + (-2 + 4*lambda^3)*y0^3*y2^3 + (12*lambda - 3*lambda^4)*y0^2*y1^2*y2^2"
+        " - 6*lambda^2*y0*y1^4*y2 - 6*lambda^2*y0*y1*y2^4 + y1^6"
+        " + (-2 + 4*lambda^3)*y1^3*y2^3 + y2^6",
+    ),
+)
+ORBIT_POINTS = ("1:1:rho", "0:1:-1", "1:2:rho", "1/2:3:-1")
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
@@ -46,6 +65,10 @@ def command_lines(lib):
         texts.update((text, None) for *_, text in corpus.cases)
     for text in texts:
         out += [["curve", cmd, "--format", "json", "--", text] for cmd in ("analyze", "flexes", "dual")]
+    for names, text in CHECK_CURVES:
+        check = ["heisenberg", "check-curve", "--format", "json", "--vars", names]
+        out += [check + ["--", text], check + ["--quadratic-map", "--", text]]
+    out += [["heisenberg", "orbit", "--format", "json", "--", p] for p in ORBIT_POINTS]
     return out
 
 
