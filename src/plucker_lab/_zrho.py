@@ -11,6 +11,7 @@ residue.
 The integer kernels of the package run on this format: the subresultant
 PRS of the chart resultants, the Taylor jets of the singularity
 classifier, the normal forms and fraction-free kernel of the dual curve,
+the values of a lambda-family of curves in the orbit obstruction,
 and everything the chart solver of curve does below the resultant: the
 primitive-PRS gcd, the normal form of a polynomial up to a factor, exact
 evaluation and back-substitution, and the root core solve, which
@@ -178,6 +179,28 @@ def form_at(form, v):
         a += x
         b += y
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# Ternary forms over Z[rho][lambda]: the orbit obstruction
+
+
+def form_value(form, point):
+    """The ternary form with polynomial coefficients (exponent -> dense
+    polynomial in lambda) at the point whose three coordinates are
+    polynomials in lambda (trailing zeros allowed, as every product here
+    drops them): a polynomial in lambda."""
+    pows = []
+    for i, y in enumerate(point):
+        ps = [[(1, 0)]]
+        for _ in range(max((e[i] for e in form), default=0)):
+            ps.append(cross(ps[-1], y, [], []))
+        pows.append(ps)
+    out = []
+    for (e0, e1, e2), c in form.items():
+        t = cross(cross(c, pows[0][e0], [], []), cross(pows[1][e1], pows[2][e2], [], []), [], [])
+        out = cross(out, [(1, 0)], [(-1, 0)], t)  # out + t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +666,14 @@ def _sort_key(found):
     return a // ga, d // ga, b // gb, d // gb
 
 
+def _linear_root(f):
+    """The root -c0/c1 of f = c0 + c1*x (c1 nonzero) as a triple in lowest
+    terms: -c0 times the conjugate of c1, over N(c1)."""
+    (a0, b0), (la, lb) = f
+    a, b = mul((-a0, -b0), (la - lb, -lb))
+    return _lowest(a, b, norm((la, lb)))
+
+
 def solve(f):
     """Every root in Q(rho) of the nonzero polynomial f over Z[rho], with
     its multiplicity, and the cofactor left once all are divided out.
@@ -652,23 +683,25 @@ def solve(f):
     order of scalars.scalar_sort_key; rest is the normalized cofactor,
     which has no root in Q(rho).  Zero roots are stripped
     first and degree 1 is solved in closed form.  Otherwise f is
-    normalized, the candidates of roots on its squarefree part are kept
-    only where that part vanishes exactly, and each root is divided out
+    normalized and the roots of its squarefree part are found: in closed
+    form if that part is linear (f = c*(x - r)^m), else as the candidates
+    of roots that the part vanishes at exactly.  Each root is divided out
     of f for its multiplicity.  The argument that no root is missed is in
     scalars.lambda_roots."""
     k = next(i for i, x in enumerate(f) if x != (0, 0))
     f = f[k:]
     found = [((0, 0, 1), k)] if k else []
     if len(f) == 2:
-        (a0, b0), lc = f
-        a, b = mul((-a0, -b0), (lc[0] - lc[1], -lc[1]))
-        found.append((_lowest(a, b, norm(lc)), 1))
+        found.append((_linear_root(f), 1))
         f = f[1:]
     elif len(f) > 2:
         f = normalize(f)
         s = _squarefree(f)
-        for root in roots(s, lambda *root: value(s, root) == (0, 0)):
-            root = _lowest(*root)
+        if len(s) == 2:
+            found_roots = [_linear_root(s)]
+        else:
+            found_roots = [_lowest(*r) for r in roots(s, lambda *r: value(s, r) == (0, 0))]
+        for root in found_roots:
             f, m = _deflate(f, root)
             found.append((root, m))
     found.sort(key=_sort_key)

@@ -207,21 +207,26 @@ def _gcd_roots(fs, name, notes, at):
     name, as (a, b, d) triples, and whether none can be missing.  Empty
     fs leave name free: the solution set is positive-dimensional.  A
     cofactor of degree >= 3 left without roots is noted as unresolved,
-    with the values at fixed so far."""
+    with the values at fixed so far.
+
+    The chain runs from the shortest f and stops at a gcd of degree <= 1;
+    its root is kept only where the fs left out of the chain vanish, so
+    the roots are those of the whole gcd.  A note needs a gcd of degree
+    >= 3, which never stops early."""
     if not fs:
         if _POSITIVE_DIMENSIONAL not in notes:
             notes.append(_POSITIVE_DIMENSIONAL)
         return [], False
-    g = fs[0]
-    for f in fs[1:]:
-        g = _zrho.gcd(g, f)
+    g, *fs = sorted(fs, key=len)
+    while fs and len(g) > 2:
+        g = _zrho.gcd(g, fs.pop(0))
     if len(g) < 2:
         return [], True
     found, rest = _zrho.solve(g)
     if len(rest) >= 4:
         where = "".join(" at %s = %s" % (n, EisensteinScalar._raw(*x)) for n, x in at)
         notes.append("unresolved degree-%d factor in %s%s" % (len(rest) - 1, name, where))
-    return [x for x, _ in found], len(rest) < 4
+    return [x for x, _ in found if all(_zrho.value(f, x) == (0, 0) for f in fs)], len(rest) < 4
 
 
 def _line_zeros(fs, name, notes, at=()):

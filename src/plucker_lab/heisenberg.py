@@ -2,16 +2,19 @@
 
 The group is generated by the coordinate cycle sigma, the diagonal tau of
 cube roots of unity, and the coordinate swap iota.  Its projective image
-has 18 elements.  The module enumerates the group, computes point orbits,
-builds the fixed locus (9 lines, 9 points, 12 triple points), and runs the
-orbit exclusion test: for a curve family c(lambda) and each orbit of size 3,
-the lambda values for which the whole orbit lies on the curve are the common
-roots of one obstruction polynomial.
+has 18 elements.  The module enumerates the group, computes point orbits
+(by closure under the three generators, without the group), builds the
+fixed locus (9 lines, 9 points, 12 triple points), and runs the orbit
+exclusion test: for a curve family c(lambda) and each orbit of size 3, the
+lambda values for which the whole orbit lies on the curve are the common
+roots of one obstruction polynomial.  The test runs on Z[rho] int pairs
+(_zrho), with lambda symbolic.
 """
 
 import functools
 from dataclasses import dataclass
 
+from . import _zrho
 from .scalars import (
     ZERO,
     ONE,
@@ -20,7 +23,7 @@ from .scalars import (
     LambdaPoly,
     scalar_sort_key,
 )
-from .polynomials import MultiPoly, X_VARS, quadratic_map
+from .polynomials import MultiPoly, X_VARS
 from .curve import ProjectivePoint, det3
 
 
@@ -177,19 +180,30 @@ def iota() -> ProjectiveTransform:
 
 
 @functools.cache
-def _group() -> tuple:
-    gens = (sigma(), tau(), iota())
-    seen = {ProjectiveTransform.identity()}
-    frontier = list(seen)
+def _generators() -> tuple:
+    return sigma(), tau(), iota()
+
+
+def _closure(start, step) -> set:
+    """The smallest set holding start and closed under step(x, g) for
+    each generator g of sigma, tau and iota."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         grown = []
-        for g in frontier:
-            for h in gens:
-                prod = g * h
-                if prod not in seen:
-                    seen.add(prod)
-                    grown.append(prod)
+        for x in frontier:
+            for g in _generators():
+                y = step(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    grown.append(y)
         frontier = grown
+    return seen
+
+
+@functools.cache
+def _group() -> tuple:
+    seen = _closure(ProjectiveTransform.identity(), ProjectiveTransform.__mul__)
     return tuple(sorted(seen, key=ProjectiveTransform.sort_key))
 
 
@@ -219,9 +233,12 @@ class Orbit:
 
 
 def orbit(p) -> Orbit:
+    """The orbit of p: its closure under sigma, tau and iota.  The group
+    is finite, so each inverse is a power of its element and the closure
+    is {g(p) : g in enumerate_group()}, found without building the group."""
     if not isinstance(p, ProjectivePoint):
         p = ProjectivePoint(p)
-    pts = {g.apply(p) for g in enumerate_group()}
+    pts = _closure(p, lambda q, g: g.apply(q))
     return Orbit(tuple(sorted(pts, key=ProjectivePoint.sort_key)))
 
 
@@ -297,6 +314,28 @@ ORDER3_ORBIT_REPRESENTATIVES = (
 )
 
 
+def _lambda_form(c: MultiPoly) -> dict:
+    """c cleared over Z[rho]: exponent -> its coefficient as an int-pair
+    polynomial in lambda, lowest power first, every scalar over one lcm
+    denominator, which is dropped."""
+    pairs = iter(_zrho.clear([x for f in c.terms.values() for x in f.coeffs])[0])
+    return {e: [next(pairs) for _ in f.coeffs] for e, f in c.terms.items()}
+
+
+def _coordinates(p: ProjectivePoint, use_quadratic_map: bool) -> list:
+    """The cleared coordinates of p as int-pair polynomials in lambda
+    (trailing zeros allowed), or with use_quadratic_map their images
+    y_i = p_i^2 - lambda*p_j*p_k: quadratic_map() at p up to its factor 3."""
+    x = _zrho.clear(p.coords)[0]
+    if not use_quadratic_map:
+        return [[v] for v in x]
+    out = []
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        a, b = _zrho.mul(x[j], x[k])
+        out.append([_zrho.mul(x[i], x[i]), (-a, -b)])
+    return out
+
+
 def curve_orbit_obstruction(c: MultiPoly, use_quadratic_map: bool = False) -> dict:
     """Obstruction polynomials of the four orbits of size 3.
 
@@ -304,19 +343,28 @@ def curve_orbit_obstruction(c: MultiPoly, use_quadratic_map: bool = False) -> di
     polynomials c(p) over the orbit's points p.  The orbit lies on the curve
     for exactly the common lambda roots of that gcd; an identically zero
     obstruction means the orbit lies on every member of the family.  With
-    use_quadratic_map the input is a curve in y0,y1,y2 and is composed with
-    quadratic_map() before evaluating.
+    use_quadratic_map the input is a curve in y0,y1,y2 composed with
+    quadratic_map() q: its value at p is c(q(p)) = (c o q)(p).
+
+    On Z[rho] int pairs: c is cleared once and each point is mapped first,
+    so c o q is never built.  Clearing and the map's dropped factor 3
+    scale each value by a nonzero constant (c is homogeneous), which the
+    gcd (_zrho.gcd, normalized to the cleared monic gcd) does not see.
     """
     if c.arity != 3:
         raise ValueError("expected a curve in 3 variables")
     if not c.is_homogeneous():
         raise ValueError("the orbit test needs a homogeneous curve")
-    if use_quadratic_map:
-        c = c.substitute(quadratic_map())
+    form = _lambda_form(c)
     out = {}
     for rep in ORDER3_ORBIT_REPRESENTATIVES:
-        acc = LambdaPoly(())
+        g = []
         for p in orbit(rep).points:
-            acc = acc.gcd(c.evaluate(p.coords))
-        out[rep] = acc
+            v = _zrho.form_value(form, _coordinates(p, use_quadratic_map))
+            if v:
+                g = _zrho.gcd(v, g)
+                if len(g) == 1:  # a constant gcd stays constant
+                    break
+        g = _zrho.normalize(g) if g else []
+        out[rep] = LambdaPoly._raw(EisensteinScalar._raw(a, b, g[-1][0]) for a, b in g)
     return out

@@ -188,3 +188,43 @@ def test_every_zero_is_checked_on_the_polys(monkeypatch):
     monkeypatch.setattr(_zrho, "solve", with_bogus_root)
     got = [curve._affine_zeros(forms, names, []) for forms, _, names in chart_systems()]
     assert got == want
+
+
+def _line(*roots):
+    """prod (x - r) over the int roots, as an int-pair polynomial."""
+    out = [(1, 0)]
+    for r in roots:
+        out = _zrho.cross(out, [(-r, 0), (1, 0)], [], [])
+    return out
+
+
+def test_line_gcd_chain_stops_at_degree_one(monkeypatch):
+    gcd, calls = _zrho.gcd, []
+    monkeypatch.setattr(_zrho, "gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    # shortest first: (x-1)(x-2) and (x-1)(x-3) leave x - 1, and the
+    # longer polynomial is never taken into the chain
+    assert curve._line_zeros([_line(1, 1, 4, 5), _line(1, 2), _line(1, 3)], "x2", []) == ([(1, 0, 1)], True)
+    assert len(calls) == 1
+    # the root 1 of the running gcd is no common root: (x-2)(x-3), left out
+    # of the chain, keeps it out, so no caller substitutes it
+    calls.clear()
+    notes = []
+    assert curve._gcd_roots([_line(1, 2), _line(1, 3), _line(2, 3)], "x2", notes, ()) == ([], True)
+    assert len(calls) == 1 and notes == []
+    # a gcd of degree 2 runs the whole chain
+    calls.clear()
+    assert curve._line_zeros([_line(1, 2, 3), _line(1, 2, 4), _line(1, 2, 5)], "x2", [])[0] == [
+        (1, 0, 1), (2, 0, 1)]
+    assert len(calls) == 2 + 1  # the chain, then the squarefree part in solve
+
+
+def test_line_systems_with_an_early_stop_match_the_oracle():
+    x = MultiPoly.variable(X_VARS, "x2")
+    for roots in ([(1, 2), (1, 3), (2, 3)], [(1, 2), (1, 3), (1, 1, 4)], [(0, 2), (0, 5), (0, 0, 7)]):
+        polys = []
+        for rs in roots:
+            p = MultiPoly.constant(X_VARS, 1)
+            for r in rs:
+                p = p * (x - r)
+            polys.append(p)
+        both(polys, ("x2",))

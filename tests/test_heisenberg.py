@@ -1,8 +1,16 @@
-import pytest
+from fractions import Fraction
+from itertools import product
 
-from plucker_lab.scalars import ONE, RHO, ZERO, LambdaPoly, lambda_roots
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import obstruction_oracle
+from plucker_lab import _zrho
+from plucker_lab import heisenberg as hb
+from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar, LambdaPoly, lambda_roots
 from plucker_lab.polynomials import (
     X_VARS,
+    MultiPoly,
     bl2_sextic,
     parse_poly,
     quadratic_map,
@@ -104,8 +112,6 @@ def test_element_orders():
 
 
 def test_group_enumeration_is_deterministic():
-    import plucker_lab.heisenberg as hb
-
     first = enumerate_group()
     hb._group.cache_clear()
     second = enumerate_group()
@@ -260,3 +266,72 @@ def test_composed_sextic_obstructions():
         assert search.complete
         roots |= set(search.values)
     assert roots == {ONE, RHO, RHO2}
+
+
+# ---------------------------------------------------------------------------
+# against the object path of tests/obstruction_oracle.py
+
+_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_scalars = st.builds(EisensteinScalar, _fractions, _fractions)
+_points = st.tuples(_scalars, _scalars, _scalars).filter(any)
+# lambda-polynomials of degree <= 2
+_lambda_polys = st.lists(_scalars, max_size=3).map(LambdaPoly)
+# forms that vanish on the orbit of (1 : 0 : 0), and of (1 : 1 : 1)
+_ORBIT_FORMS = (parse_poly("x0*x1*x2", X_VARS), parse_poly("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2", X_VARS))
+
+
+@st.composite
+def _curves(draw):
+    """Homogeneous curves of degree <= 4 with Q(rho) coefficients of
+    lambda-degree <= 2; from degree 3 on, some are P(lambda)*A + V*M with V
+    one of _ORBIT_FORMS, so that an orbit carries the obstruction P."""
+    d = draw(st.integers(0, 4))
+    monomials = [e for e in product(range(d + 1), repeat=3) if sum(e) == d]
+    c = MultiPoly(X_VARS, draw(st.dictionaries(st.sampled_from(monomials), _lambda_polys, max_size=4)))
+    if d >= 3 and draw(st.booleans()):
+        rest = MultiPoly(X_VARS, {draw(st.sampled_from([e for e in product(range(d - 2), repeat=3)
+                                                        if sum(e) == d - 3])): ONE})
+        c = MultiPoly.constant(X_VARS, draw(_lambda_polys)) * c + draw(st.sampled_from(_ORBIT_FORMS)) * rest
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(_curves(), st.booleans())
+def test_obstructions_match_the_object_path(c, use_quadratic_map):
+    assert curve_orbit_obstruction(c, use_quadratic_map) == obstruction_oracle.curve_orbit_obstruction(
+        c, use_quadratic_map
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_points, st.sampled_from([(1, 1, RHO), (0, 1, -1), (1, 2, RHO), (Fraction(1, 2), 3, -1)])))
+def test_orbit_closure_matches_the_group_images(coords):
+    assert orbit(P(*coords)) == obstruction_oracle.orbit(P(*coords))
+
+
+def test_orbits_and_obstructions_never_build_the_group(monkeypatch):
+    c = bl2_sextic()
+    want = obstruction_oracle.curve_orbit_obstruction(c, use_quadratic_map=True)
+    orbits = [obstruction_oracle.orbit(p) for p in (P(1, 2, 3), P(1, 1, 2), P(1, 0, 0))]
+
+    def built():
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(hb, "enumerate_group", built)
+    monkeypatch.setattr(hb, "_group", built)
+    assert curve_orbit_obstruction(c, use_quadratic_map=True) == want
+    assert [orbit(ob.points[-1]) for ob in orbits] == orbits
+
+
+def test_family_obstructions_are_tenth_powers_solved_in_closed_form(monkeypatch):
+    def search(cs, is_root):
+        raise AssertionError("p-adic search on %r" % (cs,))
+
+    monkeypatch.setattr(_zrho, "roots", search)
+    out = curve_orbit_obstruction(bl2_sextic(), use_quadratic_map=True)
+    roots = []
+    for rep in ORDER3_ORBIT_REPRESENTATIVES[1:]:
+        search = lambda_roots(out[rep])
+        assert search.complete and len(search.roots) == 1 and search.roots[0][1] == 10
+        roots.append(search.roots[0][0])
+    assert sorted(roots, key=str) == sorted([ONE, RHO, RHO2], key=str)

@@ -408,3 +408,22 @@ def test_a_block_singular_only_mod_p_is_eliminated_exactly(eliminated):
     kernel = _check_kernel(columns)
     assert len(kernel) == 1 and max(kernel[0]) == 4
     assert sorted(eliminated[:2]) == [[0, 2, 4], [1, 3]]
+
+
+def _no_search(cs, is_root):
+    raise AssertionError("p-adic search on %r" % (cs,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs.filter(any), _pairs, st.integers(1, 9), st.integers(1, 12), st.integers(0, 2))
+def test_solve_takes_a_linear_squarefree_part_in_closed_form(c, x, d, m, k):
+    # c * (d*y - x)^m * y^k has the root x/d of multiplicity m, and 0 of k
+    f = _times([c], *[[(-x[0], -x[1]), (d, 0)]] * m, *[[(0, 0), (1, 0)]] * k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_zrho, "roots", _no_search)
+        found, rest = _zrho.solve(f)
+    want = {(0, 0, 1): k} if k else {}
+    root = _zrho._lowest(*x, d)
+    want[root] = want.get(root, 0) + m
+    assert found == sorted(want.items(), key=_zrho._sort_key)
+    assert rest == [(1, 0)]
