@@ -5,10 +5,14 @@ exit status, stdout and stderr:
 - `scenario special --lambda=L --format json` for every admissible
   lambda of perfbench's special-sweep;
 - `curve analyze`, `curve flexes` and `curve dual --format json` for
-  every curve-corpus input at the seeds in SEEDS;
-- `heisenberg check-curve --format json`, plain and with
-  `--quadratic-map`, on each of CHECK_CURVES, and `heisenberg orbit
-  --format json` on each of ORBIT_POINTS (orbits of size 3, 9, 9 and 18).
+  every curve-corpus input at the seeds in SEEDS, and `curve dual` as
+  text for the untransformed corpus curves;
+- `heisenberg check-curve`, plain and with `--quadratic-map`, on each of
+  CHECK_CURVES, and `heisenberg orbit --format json` on each of
+  ORBIT_POINTS (orbits of size 3, 9, 9 and 18);
+- `heisenberg group` and `heisenberg fixed`.
+
+check-curve, group and fixed are pinned as JSON and as text.
 
 The inputs come from perfbench/workloads.py, which is only read here.
 A refactor of the curve or polynomial layers must leave every digest
@@ -58,17 +62,25 @@ def _lib():
 def command_lines(lib):
     out = [["scenario", "special", "--lambda=" + lam, "--format", "json"]
            for lam in workloads.admissible_lambdas(lib)]
-    texts = {}
+    texts, plain = {}, {}
     for seed in SEEDS:
         corpus = workloads.CurveCorpus(ROOT)
         corpus.setup(lib, seed)
         texts.update((text, None) for *_, text in corpus.cases)
+        plain.update((text, None) for _, perm, scales, text in corpus.cases
+                     if perm == (0, 1, 2) and all(s == 1 for s in scales))
     for text in texts:
         out += [["curve", cmd, "--format", "json", "--", text] for cmd in ("analyze", "flexes", "dual")]
     for names, text in CHECK_CURVES:
         check = ["heisenberg", "check-curve", "--format", "json", "--vars", names]
         out += [check + ["--", text], check + ["--quadratic-map", "--", text]]
     out += [["heisenberg", "orbit", "--format", "json", "--", p] for p in ORBIT_POINTS]
+    out += [["curve", "dual", "--format", "text", "--", text] for text in plain]
+    for fmt in ("json", "text"):
+        out += [["heisenberg", cmd, "--format", fmt] for cmd in ("group", "fixed")]
+    for names, text in CHECK_CURVES:
+        check = ["heisenberg", "check-curve", "--format", "text", "--vars", names]
+        out += [check + ["--", text], check + ["--quadratic-map", "--", text]]
     return out
 
 
