@@ -82,8 +82,11 @@ def _emit(args, payload: dict, text: str) -> None:
     else:
         out = _colorize_marks(text) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as e:
+            raise UsageError(str(e))
     else:
         sys.stdout.write(out)
 

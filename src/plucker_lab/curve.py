@@ -151,8 +151,8 @@ class PlaneCurve:
     The equation is cleared over Z[rho] once, into form: exponent ->
     (a, b), the equation times the lcm of its denominators.  The singular
     locus, the jets, the Hessian, the flexes and the dual all run on that
-    form with int pairs; equation, partials() and hessian() stay
-    MultiPolys for callers."""
+    form with int pairs; equation, partials() and the module function
+    hessian(c) stay MultiPolys for callers."""
 
     __slots__ = ("equation", "degree", "form")
 
@@ -468,13 +468,27 @@ class FlexSearch:
     notes: tuple = ()
 
 
+def cross(u, v):
+    """Cross product of two 3-vectors over any ring (scalars or
+    polynomials): the cofactors of the rows u and v."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def dot(u, v):
+    """Sum of the products u[i] * v[i] over any ring, leaving out those
+    with u[i] zero."""
+    products = [a * b for a, b in zip(u, v) if a] or [u[0] * v[0]]
+    return sum(products[1:], products[0])
+
+
 def det3(rows):
-    """Determinant of a 3x3 matrix over any ring (scalars or polynomials),
-    by cofactors along the first row."""
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    """Determinant of a 3x3 matrix over any ring, by cofactors along the
+    first row."""
+    return dot(rows[0], cross(rows[1], rows[2]))
 
 
 def hessian(c: PlaneCurve) -> MultiPoly:

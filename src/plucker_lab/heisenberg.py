@@ -24,18 +24,7 @@ from .scalars import (
     scalar_sort_key,
 )
 from .polynomials import MultiPoly, X_VARS
-from .curve import ProjectivePoint, det3
-
-
-def _adjugate(rows):
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    return (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
+from .curve import ProjectivePoint, cross, det3, dot
 
 
 def _linear_form(row, variables) -> MultiPoly:
@@ -96,25 +85,14 @@ class ProjectiveTransform:
     def __mul__(self, other):
         if not isinstance(other, ProjectiveTransform):
             return NotImplemented
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                s = ZERO
-                for k in range(3):
-                    s = s + self.rows[i][k] * other.rows[k][j]
-                row.append(s)
-            rows.append(tuple(row))
-        return ProjectiveTransform(rows)
-
-    def determinant(self) -> EisensteinScalar:
-        """Determinant of the stored representative.  Only its nonzero-ness
-        is projectively meaningful."""
-        return det3(self.rows)
+        columns = tuple(zip(*other.rows))
+        return ProjectiveTransform([[dot(row, col) for col in columns] for row in self.rows])
 
     def inverse(self) -> "ProjectiveTransform":
-        # adj(M) * M = det(M) * I, so the adjugate is the projective inverse
-        return ProjectiveTransform(_adjugate(self.rows))
+        # adj(M) * M = det(M) * I, so the adjugate is the projective inverse;
+        # its columns are the cross products of the row pairs
+        r0, r1, r2 = self.rows
+        return ProjectiveTransform(tuple(zip(cross(r1, r2), cross(r2, r0), cross(r0, r1))))
 
     def is_identity(self) -> bool:
         return self.rows == ProjectiveTransform.identity().rows
@@ -133,14 +111,7 @@ class ProjectiveTransform:
         """Image of a projective point under the transform."""
         if not isinstance(p, ProjectivePoint):
             p = ProjectivePoint(p)
-        coords = []
-        for row in self.rows:
-            s = ZERO
-            for c, x in zip(row, p.coords):
-                if c:
-                    s = s + c * x
-            coords.append(s)
-        return ProjectivePoint(coords)
+        return ProjectivePoint([dot(row, p.coords) for row in self.rows])
 
     def act_on_poly(self, c: MultiPoly) -> MultiPoly:
         """Transformed curve: substitutes the inverse transform's linear
@@ -252,52 +223,26 @@ class FixedLocus:
     triple_points: tuple
 
 
-def _line_coefficients():
-    # families x1 = rho^i x0, x2 = rho^i x1, x0 = rho^i x2 as a*x = 0 rows
-    rp = (ONE, RHO, RHO * RHO)
-    out = []
-    for i in range(3):
-        out.append((-rp[i], ONE, ZERO))
-    for i in range(3):
-        out.append((ZERO, -rp[i], ONE))
-    for i in range(3):
-        out.append((ONE, ZERO, -rp[i]))
-    return out
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+def _shifts(family):
+    """The vectors of family, then all of them shifted (a, b, c) -> (c, a, b),
+    then all shifted (a, b, c) -> (b, c, a)."""
+    return [v[3 - s:] + v[:3 - s] for s in range(3) for v in family]
 
 
 def fixed_locus() -> FixedLocus:
-    rp = (ONE, RHO, RHO * RHO)
-    coeffs = _line_coefficients()
+    cube_roots = (ONE, RHO, RHO * RHO)
+    # the lines x1 = r x0, x2 = r x1 and x0 = r x2 as rows a with a . x = 0
+    coeffs = _shifts([(-r, ONE, ZERO) for r in cube_roots])
     lines = [_linear_form(a, X_VARS) for a in coeffs]
-    points = []
-    for i in range(3):
-        points.append(ProjectivePoint((ONE, -rp[i], ZERO)))
-    for i in range(3):
-        points.append(ProjectivePoint((ZERO, ONE, -rp[i])))
-    for i in range(3):
-        points.append(ProjectivePoint((-rp[i], ZERO, ONE)))
+    points = [ProjectivePoint(v) for v in _shifts([(ONE, -r, ZERO) for r in cube_roots])]
     triples = set()
-    n = len(coeffs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _cross(coeffs[i], coeffs[j])
+    for i, a in enumerate(coeffs):
+        for b in coeffs[i + 1:]:
+            v = cross(a, b)
             if not any(v):
                 continue
             p = ProjectivePoint(v)
-            hits = sum(
-                1
-                for a in coeffs
-                if not (a[0] * p.coords[0] + a[1] * p.coords[1] + a[2] * p.coords[2])
-            )
-            if hits == 3:
+            if sum(1 for c in coeffs if not dot(c, p.coords)) == 3:
                 triples.add(p)
     return FixedLocus(
         lines=tuple(lines),

@@ -25,6 +25,7 @@ from .scalars import (
     ZERO,
     EisensteinScalar,
     LambdaPoly,
+    lambda_term_text,
     render_lambda_poly,
 )
 
@@ -367,15 +368,6 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        if len(o.terms) == 1:
-            (dexp, dcoeff), = o.terms.items()
-            out = {}
-            for exp, coeff in self.terms.items():
-                nexp = tuple(a - b for a, b in zip(exp, dexp))
-                if any(e < 0 for e in nexp):
-                    raise ValueError("inexact division (monomial)")
-                out[nexp] = coeff.exact_div(dcoeff)
-            return MultiPoly._raw(self.vars, out)
         dexp, dcoeff = o.leading_term()
         rem = dict(self.terms)
         out = {}
@@ -532,8 +524,8 @@ def parse_poly(text: str, variables) -> MultiPoly:
 
 def _simple_coeff_text(c: LambdaPoly):
     """Rendering of a coefficient that needs no parentheses when glued
-    onto a monomial with '*': a single lambda power whose scalar has one
-    part.  Returns (negate, text or None)."""
+    onto a monomial with '*': a single lambda power, a two-part scalar
+    parenthesized.  Returns (negate, text or None)."""
     live = [(k, s) for k, s in enumerate(c.coeffs) if s]
     if len(live) != 1:
         return False, None
@@ -541,25 +533,7 @@ def _simple_coeff_text(c: LambdaPoly):
     neg = s.an < 0 or (s.an == 0 and s.bn < 0)
     if neg:
         s = -s
-    if k == 0:
-        lam = None
-    elif k == 1:
-        lam = "lambda"
-    else:
-        lam = "lambda^%d" % k
-    if s == ONE:
-        stext = None
-    elif s.an and s.bn:
-        stext = "(%s)" % str(s)
-    else:
-        stext = str(s)
-    if stext is None and lam is None:
-        return neg, "1"
-    if stext is None:
-        return neg, lam
-    if lam is None:
-        return neg, stext
-    return neg, "%s*%s" % (stext, lam)
+    return neg, lambda_term_text(s, k)
 
 
 def _monomial_text(exp, names):

@@ -402,13 +402,17 @@ class LambdaPoly:
 LAMBDA = LambdaPoly._raw((ZERO, ONE))
 
 
-def _scalar_factor_text(c: EisensteinScalar) -> str:
-    """Scalar rendered for use as a multiplicative factor (parenthesized
-    when it is a two-part number)."""
-    s = render_scalar(c)
+def lambda_term_text(c: EisensteinScalar, k: int) -> str:
+    """Text of the term c*lambda^k, for a nonzero c whose minus sign has
+    been pulled out, fit to stand as a factor: `2`, `(1 + rho)`,
+    `lambda^2`, `rho*lambda`, `(1 - rho)*lambda^3`."""
+    mono = "" if not k else "lambda" if k == 1 else "lambda^%d" % k
+    if c.an == c.den and not c.bn:  # c == 1, read off its normal form
+        return mono or "1"
+    text = render_scalar(c)
     if c.an and c.bn:
-        return "(%s)" % s
-    return s
+        text = "(%s)" % text
+    return "%s*%s" % (text, mono) if mono else text
 
 
 def render_lambda_poly(p: LambdaPoly) -> str:
@@ -419,25 +423,12 @@ def render_lambda_poly(p: LambdaPoly) -> str:
     for k, c in enumerate(p.coeffs):
         if not c:
             continue
-        if k == 0:
-            mono = None
-        elif k == 1:
-            mono = "lambda"
-        else:
-            mono = "lambda^%d" % k
         # pull a leading minus out of the coefficient for sign placement
         neg = c.an < 0 or (c.an == 0 and c.bn < 0)
         if neg:
             c = -c
-        if mono is None:
-            body = render_scalar(c)
-            if neg and c.an and c.bn:
-                # keep -(a + b*rho) unambiguous after the sign pull
-                body = "(%s)" % body
-        elif c == ONE:
-            body = mono
-        else:
-            body = "%s*%s" % (_scalar_factor_text(c), mono)
+        # a two-part constant term is parenthesized only after a minus
+        body = render_scalar(c) if k == 0 and not neg else lambda_term_text(c, k)
         if not parts:
             parts.append("-" + body if neg else body)
         else:

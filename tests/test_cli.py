@@ -377,6 +377,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["pa"] == 28
 
 
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["chow", "report", "--d", "3", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_repeat_runs_are_identical(capsys):
     argv = ["scenario", "special", "--lambda", "2", "--format", "json"]
     _, first, _ = run(capsys, argv)

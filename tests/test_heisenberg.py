@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import obstruction_oracle
 from plucker_lab import _zrho
@@ -15,7 +15,7 @@ from plucker_lab.polynomials import (
     parse_poly,
     quadratic_map,
 )
-from plucker_lab.curve import ProjectivePoint
+from plucker_lab.curve import ProjectivePoint, det3
 from plucker_lab.heisenberg import (
     ORDER3_ORBIT_REPRESENTATIVES,
     ProjectiveTransform,
@@ -76,6 +76,33 @@ def test_generator_relations():
     # conjugation by the involution inverts both translations
     assert i * s * i == s * s
     assert i * t * i == t * t
+
+
+_entries = st.builds(
+    EisensteinScalar,
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+_matrices = st.lists(st.lists(_entries, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+def _cofactor_det(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_matrices)
+@example(m=[[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+def test_det3_and_the_inverse_on_random_matrices(m):
+    assert det3(m) == _cofactor_det(m)
+    if not _cofactor_det(m):
+        with pytest.raises(ValueError):
+            ProjectiveTransform(m)
+        return
+    g = ProjectiveTransform(m)
+    assert (g.inverse() * g).is_identity()
+    assert (g * g.inverse()).is_identity()
 
 
 def test_apply():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plucker_lab import _zrho
 from plucker_lab.curve import PlaneCurve, singular_locus
-from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar, LambdaPoly
+from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar, LambdaPoly, render_lambda_poly
 from plucker_lab.polynomials import (
     SEXTIC_NOTE,
     U_VARS,
@@ -24,6 +24,7 @@ from plucker_lab.polynomials import (
     resultant,
 )
 import parse_oracle
+import render_oracle
 from dual_oracle import proportional
 from resultant_oracle import bareiss_determinant, reference_resultant, sylvester_matrix
 
@@ -191,6 +192,39 @@ def test_render_poly_layout():
     assert render_poly(parse_poly("rho*x*y", XY)) == "rho*x*y"
 
 
+# scalars of every rendering shape: units, negative, zero a, two-part, rational
+_render_scalars = st.one_of(
+    st.sampled_from([ONE, -ONE, RHO, -RHO, ONE + RHO, -ONE - RHO, ONE - RHO, RHO - ONE]),
+    st.builds(
+        EisensteinScalar,
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    ),
+).filter(bool)
+# one term c*lambda^k with k <= 3, or several powers with gaps
+_render_coeffs = st.one_of(
+    st.tuples(st.integers(0, 3), _render_scalars).map(lambda kc: LambdaPoly([ZERO] * kc[0] + [kc[1]])),
+    st.lists(st.one_of(st.just(ZERO), _render_scalars), min_size=2, max_size=4).map(LambdaPoly),
+).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), _render_coeffs, max_size=5
+    )
+)
+@example(terms={(0, 0): LambdaPoly([RHO - ONE]), (1, 0): LambdaPoly([ZERO, ZERO, -ONE - RHO])})
+@example(terms={(0, 0): LambdaPoly([ONE + RHO, ZERO, ZERO, -ONE])})
+def test_render_matches_the_oracle(terms):
+    p = MultiPoly(XY, terms)
+    text = render_poly(p)
+    assert text == render_oracle.render_poly(p)
+    assert parse_poly(text, XY) == p
+    for c in p.terms.values():
+        assert render_lambda_poly(c) == render_oracle.render_lambda_poly(c)
+
+
 def test_parse_scalar():
     assert parse_scalar("-1") == EisensteinScalar(-1)
     assert parse_scalar("1/2") == EisensteinScalar(Fraction(1, 2))
@@ -258,6 +292,46 @@ def test_exact_div_round_trip():
     assert not parse_poly("x", XY).divides(parse_poly("y", XY))
     with pytest.raises(ValueError):
         parse_poly("y", XY).exact_div(parse_poly("x", XY))
+
+
+def test_exact_division_by_a_monomial():
+    p = parse_poly("(1 + rho)*lambda^2*x^3*y - 3*lambda*x*y^2 + lambda^3*x*y", XY)
+    d = parse_poly("(2 - rho)*lambda*x*y", XY)
+    q = p.exact_div(d)
+    assert q * d == p
+    assert q == parse_poly("(1 + rho)/(2 - rho)*lambda*x^2 - 3/(2 - rho)*y + lambda^2/(2 - rho)", XY)
+    assert d.divides(p)
+
+
+def test_inexact_monomial_division_raises():
+    with pytest.raises(ValueError):
+        parse_poly("x^2 + y", XY).exact_div(parse_poly("x", XY))
+    with pytest.raises(ValueError):  # the coefficient 1 is not a multiple of lambda
+        parse_poly("lambda*x^2 + x", XY).exact_div(parse_poly("lambda*x", XY))
+    assert not parse_poly("lambda*x", XY).divides(parse_poly("x^2", XY))
+
+
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _render_coeffs, min_size=1, max_size=3
+).map(lambda terms: MultiPoly(XY, terms))
+_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), _render_coeffs).map(
+    lambda t: MultiPoly(XY, {t[:2]: t[2]})
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_small_polys, q=st.one_of(_monomials, _small_polys), multiple=st.booleans())
+def test_divides_agrees_with_multiplying_back(p, q, multiple):
+    if multiple:
+        p = p * q
+    try:
+        quotient = p.exact_div(q)
+    except ValueError:
+        quotient = None
+    assert q.divides(p) == (quotient is not None)
+    if quotient is not None:
+        assert quotient * q == p
+    assert q.divides(p * q) and (p * q).exact_div(q) == p
 
 
 def test_homogeneous_and_euler_identity():
