@@ -480,7 +480,7 @@ def cross(u, v):
 
 def dot(u, v):
     """Sum of the products u[i] * v[i] over any ring, leaving out those
-    with u[i] zero."""
+    with u[i] zero (a zero u gives u[0] * v[0], the zero of the ring)."""
     products = [a * b for a, b in zip(u, v) if a] or [u[0] * v[0]]
     return sum(products[1:], products[0])
 

@@ -1,4 +1,6 @@
-"""Byte-for-byte pins of the CLI outputs the benchmark workloads produce.
+"""Byte-for-byte pins of the CLI outputs the benchmark workloads produce,
+and of the heisenberg and dual texts that rest on the shared 3x3 algebra
+and rendering.
 
 golden/output_digests.json maps each command line to the sha256 of its
 exit status, stdout and stderr:
