@@ -473,15 +473,15 @@ def _is_small_prime(n: int) -> bool:
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def roots(cs, is_root):
+def roots(cs):
     """The roots in Q(rho) of the squarefree polynomial cs over Z[rho]
     (degree >= 1), as (D*a, D*b, D) triples for a root a + b*rho, where D
     is the norm of the leading coefficient.
 
     Candidates come from p-adic lifting in both embeddings of Z[rho] into
     Z/p^k (the prime rule and the bound that makes the search complete
-    are argued in scalars.lambda_roots).  is_root(D*a, D*b, D) is the
-    exact test; a candidate is kept only if it holds."""
+    are argued in scalars.lambda_roots).  A candidate is kept only if cs
+    vanishes at it exactly (value)."""
     d = norm(cs[-1])
     top = max(norm(c) for c in cs[:-1])
     m_bound = math.isqrt(top // d) + 2
@@ -517,7 +517,7 @@ def roots(cs, is_root):
             db = db - modulus if db > half else db
             if abs(da) > bound or abs(db) > bound:
                 continue
-            if is_root(da, db, d):
+            if value(cs, (da, db, d)) == (0, 0):
                 found.append((da, db, d))
                 lifted[1].remove(v)
                 break
@@ -700,7 +700,7 @@ def solve(f):
         if len(s) == 2:
             found_roots = [_linear_root(s)]
         else:
-            found_roots = [_lowest(*r) for r in roots(s, lambda *r: value(s, r) == (0, 0))]
+            found_roots = [_lowest(*r) for r in roots(s)]
         for root in found_roots:
             f, m = _deflate(f, root)
             found.append((root, m))

@@ -47,7 +47,6 @@ from .heisenberg import (
     orbit,
 )
 from .corpus import (
-    report_as_json,
     report_as_text,
     run_main_theorem,
     run_special_case,

@@ -3,8 +3,10 @@ dual curves, and genus bookkeeping.
 
 Everything here works with exact Eisenstein-rational coordinates.  Points
 whose coordinates leave that field are not enumerated; instead every
-search result carries a completeness flag so callers can tell "none
-found" from "none found among scalar-resolvable points".
+search result carries notes, one for each reason it may have missed a
+point, so callers can tell "none found" from "none found among
+scalar-resolvable points": a search is complete exactly when it has no
+note.
 """
 
 from __future__ import annotations
@@ -137,10 +139,18 @@ class SingularityRecord:
         return out
 
 
+class _Noted:
+    """A search result whose notes give every reason it may have missed a
+    point; it is complete exactly when there is none."""
+
+    @property
+    def complete(self) -> bool:
+        return not self.notes
+
+
 @dataclass(frozen=True)
-class SingularLocus:
+class SingularLocus(_Noted):
     points: tuple
-    complete: bool
     notes: tuple = ()
 
 
@@ -151,8 +161,7 @@ class PlaneCurve:
     The equation is cleared over Z[rho] once, into form: exponent ->
     (a, b), the equation times the lcm of its denominators.  The singular
     locus, the jets, the Hessian, the flexes and the dual all run on that
-    form with int pairs; equation, partials() and the module function
-    hessian(c) stay MultiPolys for callers."""
+    form with int pairs; the equation stays a MultiPoly for callers."""
 
     __slots__ = ("equation", "degree", "form")
 
@@ -182,12 +191,6 @@ class PlaneCurve:
     def vars(self):
         return self.equation.vars
 
-    def partials(self):
-        return [self.equation.partial_derivative(v) for v in self.vars]
-
-    def contains(self, p: ProjectivePoint) -> bool:
-        return self.equation.evaluate(p.coords).is_zero()
-
     def __str__(self):
         return str(self.equation)
 
@@ -204,10 +207,9 @@ _POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
 
 def _gcd_roots(fs, name, notes, at):
     """The roots of the gcd of the nonzero int-pair polynomials fs in
-    name, as (a, b, d) triples, and whether none can be missing.  Empty
-    fs leave name free: the solution set is positive-dimensional.  A
-    cofactor of degree >= 3 left without roots is noted as unresolved,
-    with the values at fixed so far.
+    name, as (a, b, d) triples.  Empty fs leave name free: the solution
+    set is noted as positive-dimensional.  A cofactor of degree >= 3 left
+    without roots is noted as unresolved, with the values at fixed so far.
 
     The chain runs from the shortest f and stops at a gcd of degree <= 1;
     its root is kept only where the fs left out of the chain vanish, so
@@ -216,29 +218,28 @@ def _gcd_roots(fs, name, notes, at):
     if not fs:
         if _POSITIVE_DIMENSIONAL not in notes:
             notes.append(_POSITIVE_DIMENSIONAL)
-        return [], False
+        return []
     g, *fs = sorted(fs, key=len)
     while fs and len(g) > 2:
         g = _zrho.gcd(g, fs.pop(0))
     if len(g) < 2:
-        return [], True
+        return []
     found, rest = _zrho.solve(g)
     if len(rest) >= 4:
         where = "".join(" at %s = %s" % (n, EisensteinScalar._raw(*x)) for n, x in at)
         notes.append("unresolved degree-%d factor in %s%s" % (len(rest) - 1, name, where))
-    return [x for x, _ in found if all(_zrho.value(f, x) == (0, 0) for f in fs)], len(rest) < 4
+    return [x for x, _ in found if all(_zrho.value(f, x) == (0, 0) for f in fs)]
 
 
 def _line_zeros(fs, name, notes, at=()):
     """Common zeros, as (a, b, d) triples, of the int-pair polynomials fs
     in the last variable name: the roots of their gcd at which every f
-    vanishes exactly.  Returns (zeros, complete)."""
+    vanishes exactly."""
     live = [f for f in fs if f]
     if any(len(f) == 1 for f in live):
-        return [], True
-    values, complete = _gcd_roots(live, name, notes, at)
-    zeros = [x for x in values if all(_zrho.value(f, x) == (0, 0) for f in live)]
-    return zeros, complete
+        return []
+    values = _gcd_roots(live, name, notes, at)
+    return [x for x in values if all(_zrho.value(f, x) == (0, 0) for f in live)]
 
 
 def _affine_zeros(tables, names, notes):
@@ -246,7 +247,7 @@ def _affine_zeros(tables, names, notes):
     every other variable is fixed already), as tuples of values in the
     order of names.  Each polynomial is given as its chart table (see
     _chart): rows over the powers of the second name of polynomials in
-    the first.  Returns (zeros, complete).
+    the first.  Each reason a zero may be missing is appended to notes.
 
     Elimination and back-substitution (Cox, Little & O'Shea, Ideals,
     Varieties, and Algorithms, ch. 3): the values of the first variable
@@ -262,13 +263,12 @@ def _affine_zeros(tables, names, notes):
     """
     live = [t for t in tables if t]
     if any(len(t) == 1 and len(t[0]) == 1 for t in live):  # a nonzero constant
-        return [], True
+        return []
     if not names:
-        return [()], True
+        return [()]
     u, *rest = names
     if not rest:
-        zeros, complete = _line_zeros([t[0] for t in live], u, notes)
-        return [(EisensteinScalar._raw(*x),) for x in zeros], complete
+        return [(EisensteinScalar._raw(*x),) for x in _line_zeros([t[0] for t in live], u, notes)]
     v = rest[0]
     with_v = sorted(
         (t for t in live if len(t) > 1),
@@ -276,15 +276,12 @@ def _affine_zeros(tables, names, notes):
     )
     elim = (_zrho.resultant(with_v[0][::-1], t[::-1]) for t in with_v[1:])
     cons = [t[0] for t in live if len(t) == 1] + [r for r in elim if r]
-    values, complete = _gcd_roots(cons, u, notes, ())
     zeros = []
-    for x in values:
-        fs = [_zrho.substitute(t, x) for t in live]
-        tails, ok = _line_zeros(fs, v, notes, ((u, x),))
-        complete &= ok
+    for x in _gcd_roots(cons, u, notes, ()):
+        tails = _line_zeros([_zrho.substitute(t, x) for t in live], v, notes, ((u, x),))
         a = EisensteinScalar._raw(*x)
         zeros.extend((a, EisensteinScalar._raw(*y)) for y in tails)
-    return zeros, complete
+    return zeros
 
 
 def _chart(form, k):
@@ -303,17 +300,15 @@ def projective_common_zeros(forms, variables):
 
     Works through the disjoint charts x_k = 1, x_j = 0 for j < k
     (k = 0, 1, 2), each by _affine_zeros on the chart tables.  Returns
-    (points, complete, notes); complete goes false when _zrho.solve leaves
-    a factor of degree > 2 unresolved or a chart has a positive-dimensional
+    (points, notes): a note for each factor of degree > 2 that _zrho.solve
+    leaves unresolved, and one if a chart has a positive-dimensional
     solution set.
     """
-    notes, points, complete = [], [], True
+    notes, points = [], []
     for k in range(3):
-        zeros, ok = _affine_zeros([_chart(f, k) for f in forms], variables[k + 1 :], notes)
-        complete &= ok
+        zeros = _affine_zeros([_chart(f, k) for f in forms], variables[k + 1 :], notes)
         points.extend(ProjectivePoint((ZERO,) * k + (ONE,) + z) for z in zeros)
-    unique = sorted(set(points), key=ProjectivePoint.sort_key)
-    return unique, complete, notes
+    return sorted(set(points), key=ProjectivePoint.sort_key), notes
 
 
 def singular_locus(c: PlaneCurve) -> SingularLocus:
@@ -325,8 +320,8 @@ def singular_locus(c: PlaneCurve) -> SingularLocus:
     forms = [g for g in _zrho.gradient(c.form) if g]
     if not forms:
         raise ValueError("all partials vanish identically")
-    points, complete, notes = projective_common_zeros(forms, c.vars)
-    return SingularLocus(tuple(points), complete, tuple(notes))
+    points, notes = projective_common_zeros(forms, c.vars)
+    return SingularLocus(tuple(points), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +456,9 @@ def classified_singularities(c: PlaneCurve):
 
 
 @dataclass(frozen=True)
-class FlexSearch:
+class FlexSearch(_Noted):
     points: tuple
     count_with_multiplicity: int
-    complete: bool
     notes: tuple = ()
 
 
@@ -491,13 +485,6 @@ def det3(rows):
     return dot(rows[0], cross(rows[1], rows[2]))
 
 
-def hessian(c: PlaneCurve) -> MultiPoly:
-    v = c.vars
-    return det3(
-        [[c.equation.partial_derivative(a).partial_derivative(b) for b in v] for a in v]
-    )
-
-
 def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
     """Smooth inflection points and their Bezout-weighted count.
 
@@ -513,10 +500,8 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
             "identically-zero Hessian: ruled or degenerate input"
         )
     d = c.degree
-    notes: list = []
     records, locus = classified or classified_singularities(c)
-    complete = locus.complete
-    notes.extend(locus.notes)
+    notes = list(locus.notes)
     total = 3 * d * (d - 2)
     for rec in records:
         if rec.kind in _HESSIAN_DROP:
@@ -528,17 +513,14 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
                 "count not certified: unclassified singularity at %s"
                 % rec.point
             )
-            complete = False
     if total < 0:
         notes.append("flex count went negative; input likely reducible")
         total = 0
-        complete = False
-    pts, ok, zero_notes = projective_common_zeros([c.form, h], c.vars)
+    pts, zero_notes = projective_common_zeros([c.form, h], c.vars)
     notes.extend(zero_notes)
-    complete &= ok
     sing_points = {rec.point for rec in records}
     flex_points = tuple(p for p in pts if p not in sing_points)
-    return FlexSearch(flex_points, total, complete, tuple(dict.fromkeys(notes)))
+    return FlexSearch(flex_points, total, tuple(dict.fromkeys(notes)))
 
 
 # ---------------------------------------------------------------------------

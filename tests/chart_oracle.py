@@ -3,15 +3,29 @@
 This is the elimination and back-substitution of curve._affine_zeros as it
 ran on EisensteinScalar and LambdaPoly objects: charts of MultiPolys,
 resultants by polynomials.resultant, gcds by LambdaPoly.gcd, roots by
-lambda_roots, and each value substituted into MultiPolys.  Zeros, notes
-and the complete flag must match the integer solver's exactly, which
-runs on the int-pair tables of curve._chart.
+lambda_roots, and each value substituted into MultiPolys.  Zeros and
+notes must match the integer solver's exactly, which runs on the int-pair
+tables of curve._chart, and the complete flag the oracle keeps must be
+True exactly when that solver noted nothing.  The systems come from the
+MultiPoly partials and Hessian of a curve's equation, the references for
+_zrho.gradient and _zrho.hessian.
 """
 
+from plucker_lab.curve import det3
 from plucker_lab.polynomials import MultiPoly, resultant
 from plucker_lab.scalars import ZERO, EisensteinScalar, LambdaPoly, lambda_roots
 
 POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
+
+
+def partials(c) -> list:
+    """The partial derivatives of the curve's equation, as MultiPolys."""
+    return [c.equation.partial_derivative(v) for v in c.vars]
+
+
+def hessian(c) -> MultiPoly:
+    """The Hessian determinant of the curve's equation, as a MultiPoly."""
+    return det3([[p.partial_derivative(v) for v in c.vars] for p in partials(c)])
 
 
 def chart(p: MultiPoly, k: int) -> MultiPoly:

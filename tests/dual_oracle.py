@@ -106,7 +106,8 @@ def dual(c, m: int) -> MultiPoly:
     f | G(grad f), from the kernel of the normal forms of grad(f)^alpha;
     the kernel must be one-dimensional."""
     lead, tail = rewrite_rule(c.equation)
-    grads = [{e: x.constant_value() for e, x in g.terms.items()} for g in c.partials()]
+    partials = (c.equation.partial_derivative(v) for v in c.vars)
+    grads = [{e: x.constant_value() for e, x in g.terms.items()} for g in partials]
     columns = {(0, 0, 0): {(0, 0, 0): ONE}}
     for k in range(1, m + 1):
         prev, columns = columns, {}

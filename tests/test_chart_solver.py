@@ -1,9 +1,10 @@
 """The chart solver on Z[rho] ints against the object-path oracle.
 
-curve._affine_zeros, on int-pair chart tables, must give the zeros, notes
-and complete flag of chart_oracle.affine_zeros, which runs the same
-elimination on scalar objects, on random systems with planted common
-zeros in Q(rho), with a planted root-free cubic factor in either
+curve._affine_zeros, on int-pair chart tables, must give the zeros and
+notes of chart_oracle.affine_zeros, which runs the same elimination on
+scalar objects, and the oracle's own complete flag must be True exactly
+when the integer solver appended no note: on random systems with planted
+common zeros in Q(rho), with a planted root-free cubic factor in either
 variable, and with positive-dimensional solution sets; and on the charts
 of the singular-locus and flex systems of curves, where the int-pair
 tables come from each curve's cleared form and the oracle's polynomials
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import chart_oracle
 from plucker_lab import _zrho, curve
-from plucker_lab.curve import PlaneCurve, hessian
+from plucker_lab.curve import PlaneCurve
 from plucker_lab.polynomials import X_VARS, MultiPoly, bl2_sextic
 from plucker_lab.scalars import EisensteinScalar
 
@@ -40,21 +41,25 @@ def tables(polys, names):
 
 
 def both(polys, names=NAMES, forms=None):
-    """(zeros, complete, notes) of the integer solver on the tables forms
-    (by default those of polys), which must equal the oracle's on polys.
-    So must the polynomials the p-adic search _zrho.roots is given: each
-    gcd is normalized before its roots are searched, to the cleared monic
+    """(zeros, complete, notes): the zeros and notes of the integer solver
+    on the tables forms (by default those of polys), which must equal the
+    oracle's on polys, and the oracle's complete flag, which must be True
+    exactly when the integer solver appended no note.  The polynomials the
+    p-adic search _zrho.roots is given must be equal too: each gcd is
+    normalized before its roots are searched, to the cleared monic
     polynomial lambda_roots gets from LambdaPoly.gcd."""
     searched = ([], [])
     search = _zrho.roots
     inputs = (tables(polys, names) if forms is None else forms, polys)
     with pytest.MonkeyPatch.context() as mp:
         for seen, solver, given in zip(searched, (curve._affine_zeros, chart_oracle.affine_zeros), inputs):
-            mp.setattr(_zrho, "roots", lambda cs, is_root, seen=seen: seen.append(cs) or search(cs, is_root))
+            mp.setattr(_zrho, "roots", lambda cs, seen=seen: seen.append(cs) or search(cs))
             notes = []
-            seen.append((*solver(given, names, notes), notes))
+            seen.append((solver(given, names, notes), notes))
+    (zeros, notes), ((want, complete), want_notes) = searched[0].pop(), searched[1].pop()
     assert searched[0] == searched[1]
-    zeros, complete, notes = searched[0][-1]
+    assert (zeros, notes) == (want, want_notes)
+    assert complete == (notes == [])
     return zeros, complete, notes
 
 
@@ -156,11 +161,11 @@ def chart_systems():
     chart tables of the cleared forms as projective_common_zeros hands
     them to _affine_zeros, and the oracle's MultiPoly charts."""
     sextic = PlaneCurve(bl2_sextic().specialize_lambda(EisensteinScalar(2)))
-    systems = [(sextic, _zrho.gradient(sextic.form), sextic.partials())]
+    systems = [(sextic, _zrho.gradient(sextic.form), chart_oracle.partials(sextic))]
     for text in CURVES:
         c = PlaneCurve.from_text(text)
-        systems.append((c, _zrho.gradient(c.form), c.partials()))
-        systems.append((c, [c.form, _zrho.hessian(c.form)], [c.equation, hessian(c)]))
+        systems.append((c, _zrho.gradient(c.form), chart_oracle.partials(c)))
+        systems.append((c, [c.form, _zrho.hessian(c.form)], [c.equation, chart_oracle.hessian(c)]))
     for c, forms, polys in systems:
         live = [(f, p) for f, p in zip(forms, polys) if not p.is_zero()]
         assert all(f for f, _ in live)
@@ -184,10 +189,16 @@ def test_every_zero_is_checked_on_the_polys(monkeypatch):
         found, rest = solve(f)
         return found + [(bogus, 1)], rest
 
-    want = [curve._affine_zeros(forms, names, []) for forms, _, names in chart_systems()]
+    def solved():
+        out = []
+        for forms, _, names in chart_systems():
+            notes = []
+            out.append((curve._affine_zeros(forms, names, notes), notes))
+        return out
+
+    want = solved()
     monkeypatch.setattr(_zrho, "solve", with_bogus_root)
-    got = [curve._affine_zeros(forms, names, []) for forms, _, names in chart_systems()]
-    assert got == want
+    assert solved() == want
 
 
 def _line(*roots):
@@ -203,17 +214,17 @@ def test_line_gcd_chain_stops_at_degree_one(monkeypatch):
     monkeypatch.setattr(_zrho, "gcd", lambda f, g: calls.append(1) or gcd(f, g))
     # shortest first: (x-1)(x-2) and (x-1)(x-3) leave x - 1, and the
     # longer polynomial is never taken into the chain
-    assert curve._line_zeros([_line(1, 1, 4, 5), _line(1, 2), _line(1, 3)], "x2", []) == ([(1, 0, 1)], True)
+    assert curve._line_zeros([_line(1, 1, 4, 5), _line(1, 2), _line(1, 3)], "x2", []) == [(1, 0, 1)]
     assert len(calls) == 1
     # the root 1 of the running gcd is no common root: (x-2)(x-3), left out
     # of the chain, keeps it out, so no caller substitutes it
     calls.clear()
     notes = []
-    assert curve._gcd_roots([_line(1, 2), _line(1, 3), _line(2, 3)], "x2", notes, ()) == ([], True)
+    assert curve._gcd_roots([_line(1, 2), _line(1, 3), _line(2, 3)], "x2", notes, ()) == []
     assert len(calls) == 1 and notes == []
     # a gcd of degree 2 runs the whole chain
     calls.clear()
-    assert curve._line_zeros([_line(1, 2, 3), _line(1, 2, 4), _line(1, 2, 5)], "x2", [])[0] == [
+    assert curve._line_zeros([_line(1, 2, 3), _line(1, 2, 4), _line(1, 2, 5)], "x2", []) == [
         (1, 0, 1), (2, 0, 1)]
     assert len(calls) == 2 + 1  # the chain, then the squarefree part in solve
 

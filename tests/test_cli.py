@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plucker_lab import cli
+from plucker_lab import cli, corpus
 from plucker_lab.cli import build_parser, main
 from plucker_lab.polynomials import bl2_sextic, render_poly
 
@@ -189,6 +189,23 @@ def test_curve_flexes_lists_each_note_once(capsys):
     code, out, _ = run(capsys, ["curve", "analyze", curve, "--format", "json"])
     assert code == 0
     assert json.loads(out)["notes"] == notes
+
+
+# the six plain curves of the curve-corpus benchmark (the corpus and the
+# Fermat quartic), then three lines, a double conic and the Fermat
+# quintic: between them, every reason a note gives for an incomplete search
+@pytest.mark.parametrize("curve", sorted(corpus.CURVES.values()) + [
+    "x0^4 + x1^4 + x2^4", "x0*x1*x2", "(x0*x2 - x1^2)^2", "x0^5 + x1^5 + x2^5",
+])
+def test_a_search_is_complete_exactly_when_no_note_says_why_not(capsys, curve):
+    code, out, _ = run(capsys, ["curve", "flexes", curve, "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["complete"] == (data["notes"] == [])
+    code, out, _ = run(capsys, ["curve", "analyze", curve, "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["singular_locus_complete"] or data["notes"]
 
 
 def test_curve_from_file(tmp_path, capsys):

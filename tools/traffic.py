@@ -6,9 +6,11 @@ Imports perfbench/run.py and perfbench/workloads.py, which it only
 reads, and runs every workload once under a sys.settrace line tracer:
 the library import, the set-up at seed 1 and its checks, then one pass
 over the operations, each output checked as the benchmark checks it.
-Then it prints, per module of src/plucker_lab, the functions no workload
-enters and, inside the functions that do run, the statements no
-workload executes, each with its line number and first line of text.
+Then it prints, per module of src/plucker_lab, its line count as the
+ast module reads it (the last line of its last statement), the functions
+no workload enters and, inside the functions that do run, the statements
+no workload executes, each with its line number and first line of text.
+A last line gives the line count of the whole package.
 Stdlib only; a run takes about 10 s (Python 3.11, 2 vCPU).
 """
 
@@ -102,9 +104,12 @@ def statements(body, prefix="", function=None):
 
 
 def report(path, lines):
+    """The report lines of the module at path, and its line count."""
     source = path.read_text(encoding="utf-8").splitlines()
+    body = ast.parse("\n".join(source)).body
+    size = max((node.end_lineno for node in body), default=0)
     funcs = {}  # function -> [entered, lines of the statements never run]
-    for function, node in statements(ast.parse("\n".join(source)).body):
+    for function, node in statements(body):
         if function is None:
             continue
         ran = any(n in lines for n in _own_lines(node))
@@ -113,21 +118,25 @@ def report(path, lines):
         if not ran:
             entry[1].append(node.lineno)
     dead = [f for f, (entered, _) in funcs.items() if not entered]
-    out = ["%s: %d of %d functions never entered"
-           % (path.relative_to(ROOT), len(dead), len(funcs))]
+    out = ["%s: %d lines, %d of %d functions never entered"
+           % (path.relative_to(ROOT), size, len(dead), len(funcs))]
     if dead:
         out.append("  never entered: " + ", ".join(dead))
     for f, (entered, missed) in funcs.items():
         if entered and missed:
             out.append("  %s, statements never run:" % f)
             out.extend("    %4d  %s" % (n, source[n - 1].strip()) for n in missed)
-    return out
+    return out, size
 
 
 def main():
     hits = traced(run_workloads)
+    total = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        print("\n".join(report(path, hits.get(str(path), set()))))
+        out, size = report(path, hits.get(str(path), set()))
+        total += size
+        print("\n".join(out))
+    print("%s: %d lines" % (PACKAGE.relative_to(ROOT), total))
 
 
 if __name__ == "__main__":
