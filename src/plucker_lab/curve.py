@@ -11,6 +11,7 @@ note.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -205,11 +206,14 @@ class PlaneCurve:
 _POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
 
 
-def _gcd_roots(fs, name, notes, at):
+def _gcd_roots(fs, name, notes, at, more=()):
     """The roots of the gcd of the nonzero int-pair polynomials fs in
     name, as (a, b, d) triples.  Empty fs leave name free: the solution
     set is noted as positive-dimensional.  A cofactor of degree >= 3 left
     without roots is noted as unresolved, with the values at fixed so far.
+    The polys of the iterable more vanish at every value sought too; they
+    are drawn only while such a cofactor is left, and only its gcd with
+    each is kept, since every missing value is a root of it.
 
     The chain runs from the shortest f and stops at a gcd of degree <= 1;
     its root is kept only where the fs left out of the chain vanish, so
@@ -225,6 +229,9 @@ def _gcd_roots(fs, name, notes, at):
     if len(g) < 2:
         return []
     found, rest = _zrho.solve(g)
+    more = iter(more)
+    while len(rest) >= 4 and (f := next(more, None)) is not None:
+        rest = _zrho.gcd(rest, f)
     if len(rest) >= 4:
         where = "".join(" at %s = %s" % (n, EisensteinScalar._raw(*x)) for n, x in at)
         notes.append("unresolved degree-%d factor in %s%s" % (len(rest) - 1, name, where))
@@ -253,7 +260,10 @@ def _affine_zeros(tables, names, notes):
     Varieties, and Algorithms, ch. 3): the values of the first variable
     are the roots of the gcd of the polys, or, with a second variable
     left, of their resultants in it against the poly of least degree in
-    it.  Everything runs on Z[rho] int pairs: the resultants come from the
+    it.  A factor of degree >= 3 that those leave without roots is cut
+    down by the resultants of the other pairs before it is noted: the
+    first ones alone can share values at which no zero lies.
+    Everything runs on Z[rho] int pairs: the resultants come from the
     subresultant PRS _zrho.resultant, the gcds from the primitive PRS
     _zrho.gcd and the roots from _zrho.solve, the root core of
     lambda_roots.  Each value is substituted into the tables
@@ -276,8 +286,10 @@ def _affine_zeros(tables, names, notes):
     )
     elim = (_zrho.resultant(with_v[0][::-1], t[::-1]) for t in with_v[1:])
     cons = [t[0] for t in live if len(t) == 1] + [r for r in elim if r]
+    pairs = itertools.combinations(with_v[1:], 2)
+    more = (_zrho.resultant(s[::-1], t[::-1]) for s, t in pairs)
     zeros = []
-    for x in _gcd_roots(cons, u, notes, ()):
+    for x in _gcd_roots(cons, u, notes, (), more):
         tails = _line_zeros([_zrho.substitute(t, x) for t in live], v, notes, ((u, x),))
         a = EisensteinScalar._raw(*x)
         zeros.extend((a, EisensteinScalar._raw(*y)) for y in tails)
