@@ -209,16 +209,17 @@ _POSITIVE_DIMENSIONAL = "solution set is positive-dimensional in a chart"
 def _gcd_roots(fs, name, notes, at, more=()):
     """The roots of the gcd of the nonzero int-pair polynomials fs in
     name, as (a, b, d) triples.  Empty fs leave name free: the solution
-    set is noted as positive-dimensional.  A cofactor of degree >= 3 left
-    without roots is noted as unresolved, with the values at fixed so far.
-    The polys of the iterable more vanish at every value sought too; they
-    are drawn only while such a cofactor is left, and only its gcd with
-    each is kept, since every missing value is a root of it.
+    set is noted as positive-dimensional.  A cofactor left without roots
+    (of degree >= 2) stands for zeros outside Q(rho) and is noted as
+    unresolved, with the values at fixed so far.  The polys of the
+    iterable more vanish at every value sought too; they are drawn only
+    while such a cofactor is left, and only its gcd with each is kept,
+    since every missing value is a root of it.
 
     The chain runs from the shortest f and stops at a gcd of degree <= 1;
     its root is kept only where the fs left out of the chain vanish, so
     the roots are those of the whole gcd.  A note needs a gcd of degree
-    >= 3, which never stops early."""
+    >= 2, which never stops early."""
     if not fs:
         if _POSITIVE_DIMENSIONAL not in notes:
             notes.append(_POSITIVE_DIMENSIONAL)
@@ -230,69 +231,58 @@ def _gcd_roots(fs, name, notes, at, more=()):
         return []
     found, rest = _zrho.solve(g)
     more = iter(more)
-    while len(rest) >= 4 and (f := next(more, None)) is not None:
+    while len(rest) >= 2 and (f := next(more, None)) is not None:
         rest = _zrho.gcd(rest, f)
-    if len(rest) >= 4:
+    if len(rest) >= 2:
         where = "".join(" at %s = %s" % (n, EisensteinScalar._raw(*x)) for n, x in at)
         notes.append("unresolved degree-%d factor in %s%s" % (len(rest) - 1, name, where))
     return [x for x, _ in found if all(_zrho.value(f, x) == (0, 0) for f in fs)]
 
 
-def _line_zeros(fs, name, notes, at=()):
-    """Common zeros, as (a, b, d) triples, of the int-pair polynomials fs
-    in the last variable name: the roots of their gcd at which every f
-    vanishes exactly."""
-    live = [f for f in fs if f]
-    if any(len(f) == 1 for f in live):
-        return []
-    values = _gcd_roots(live, name, notes, at)
-    return [x for x in values if all(_zrho.value(f, x) == (0, 0) for f in live)]
-
-
-def _affine_zeros(tables, names, notes):
+def _affine_zeros(tables, names, notes, at=()):
     """Common zeros of polynomials in the variables names (at most two;
-    every other variable is fixed already), as tuples of values in the
-    order of names.  Each polynomial is given as its chart table (see
+    the others are fixed, the values at so far), as tuples of values in
+    the order of names.  Each polynomial is given as its chart table (see
     _chart): rows over the powers of the second name of polynomials in
     the first.  Each reason a zero may be missing is appended to notes.
 
-    Elimination and back-substitution (Cox, Little & O'Shea, Ideals,
-    Varieties, and Algorithms, ch. 3): the values of the first variable
-    are the roots of the gcd of the polys, or, with a second variable
-    left, of their resultants in it against the poly of least degree in
-    it.  A factor of degree >= 3 that those leave without roots is cut
-    down by the resultants of the other pairs before it is noted: the
-    first ones alone can share values at which no zero lies.
-    Everything runs on Z[rho] int pairs: the resultants come from the
-    subresultant PRS _zrho.resultant, the gcds from the primitive PRS
-    _zrho.gcd and the roots from _zrho.solve, the root core of
-    lambda_roots.  Each value is substituted into the tables
-    (_zrho.substitute) and the second variable solved the same way.  A
-    zero is kept only if every poly vanishes at it exactly, and only the
-    values of kept zeros become scalars.
+    One recursive elimination and back-substitution (Cox, Little &
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 3): the values of the
+    first name are the roots of the gcd of the polys, or, with a second
+    name left, of their resultants in it against the poly of least
+    degree in it.  A factor that those leave without roots is cut down by
+    the resultants of the other pairs before it is noted: the first ones
+    alone can share values at which no zero lies.  Everything runs on
+    Z[rho] int pairs: the resultants of the subresultant PRS
+    _zrho.resultant, the gcds of the primitive PRS _zrho.gcd and the
+    roots of _zrho.solve, the root core of lambda_roots.  Each value is
+    substituted into the tables (_zrho.substitute) and the rest solved
+    the same way, on the one-row tables that are not zero; with no name
+    left, () is a zero exactly when every table is zero.  At the last
+    name a value is kept only if every poly vanishes at it exactly, and
+    only the values of kept zeros become scalars.
     """
     live = [t for t in tables if t]
-    if any(len(t) == 1 and len(t[0]) == 1 for t in live):  # a nonzero constant
-        return []
     if not names:
-        return [()]
+        return [] if live else [()]
     u, *rest = names
-    if not rest:
-        return [(EisensteinScalar._raw(*x),) for x in _line_zeros([t[0] for t in live], u, notes)]
-    v = rest[0]
-    with_v = sorted(
-        (t for t in live if len(t) > 1),
-        key=lambda t: (len(t), sum(x != (0, 0) for row in t for x in row)),
-    )
-    elim = (_zrho.resultant(with_v[0][::-1], t[::-1]) for t in with_v[1:])
-    cons = [t[0] for t in live if len(t) == 1] + [r for r in elim if r]
-    pairs = itertools.combinations(with_v[1:], 2)
-    more = (_zrho.resultant(s[::-1], t[::-1]) for s, t in pairs)
+    cons, more = [t[0] for t in live if len(t) == 1], ()
+    if rest:
+        with_v = sorted(
+            (t for t in live if len(t) > 1),
+            key=lambda t: (len(t), sum(x != (0, 0) for row in t for x in row)),
+        )
+        cons += [r for t in with_v[1:] if (r := _zrho.resultant(with_v[0][::-1], t[::-1]))]
+        pairs = itertools.combinations(with_v[1:], 2)
+        more = (_zrho.resultant(s[::-1], t[::-1]) for s, t in pairs)
     zeros = []
-    for x in _gcd_roots(cons, u, notes, (), more):
-        tails = _line_zeros([_zrho.substitute(t, x) for t in live], v, notes, ((u, x),))
-        a = EisensteinScalar._raw(*x)
-        zeros.extend((a, EisensteinScalar._raw(*y)) for y in tails)
+    for x in _gcd_roots(cons, u, notes, at, more):
+        if rest:
+            subs = [[s] for t in live if (s := _zrho.substitute(t, x))]
+            tails = _affine_zeros(subs, rest, notes, at + ((u, x),))
+        else:
+            tails = [()] if all(_zrho.value(t[0], x) == (0, 0) for t in live) else []
+        zeros.extend((EisensteinScalar._raw(*x),) + z for z in tails)
     return zeros
 
 
@@ -312,9 +302,9 @@ def projective_common_zeros(forms, variables):
 
     Works through the disjoint charts x_k = 1, x_j = 0 for j < k
     (k = 0, 1, 2), each by _affine_zeros on the chart tables.  Returns
-    (points, notes): a note for each factor of degree > 2 that _zrho.solve
-    leaves unresolved, and one if a chart has a positive-dimensional
-    solution set.
+    (points, notes): a note for each factor that _zrho.solve leaves
+    without roots, and one if a chart has a positive-dimensional solution
+    set.
     """
     notes, points = [], []
     for k in range(3):

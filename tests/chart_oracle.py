@@ -11,6 +11,8 @@ MultiPoly partials and Hessian of a curve's equation, the references for
 _zrho.gradient and _zrho.hessian.
 """
 
+import itertools
+
 from plucker_lab.curve import det3
 from plucker_lab.polynomials import MultiPoly, resultant
 from plucker_lab.scalars import ZERO, EisensteinScalar, LambdaPoly, lambda_roots
@@ -65,14 +67,19 @@ def as_univariate(p: MultiPoly, var: str) -> LambdaPoly:
 def affine_zeros(polys, names, notes, at=()):
     """Common zeros of lambda-free polys in the variables names (at most
     two), as tuples of scalars in the order of names; returns (zeros,
-    complete) and appends to notes, as curve._affine_zeros does."""
+    complete) and appends to notes, as curve._affine_zeros does.
+
+    The cofactor of the gcd that lambda_roots leaves once every root is
+    divided out is cut down by its gcd with the resultants of the other
+    pairs, and noted if it still has degree >= 2: it has no root in
+    Q(rho), but its roots are zeros all the same."""
     live = [p for p in polys if not p.is_zero()]
     if any(p.is_constant() for p in live):
         return [], True
     if not names:
         return [()], True
     u, *rest = names
-    cons = live
+    cons, more = live, ()
     if rest:
         v = rest[0]
         with_v = sorted(
@@ -82,6 +89,7 @@ def affine_zeros(polys, names, notes, at=()):
         elim = (resultant(with_v[0], q, v) for q in with_v[1:])
         cons = [p for p in live if not p.degree_in(v)]
         cons += [r for r in elim if not r.is_zero()]
+        more = (resultant(p, q, v) for p, q in itertools.combinations(with_v[1:], 2))
     if not cons:
         if POSITIVE_DIMENSIONAL not in notes:
             notes.append(POSITIVE_DIMENSIONAL)
@@ -92,12 +100,20 @@ def affine_zeros(polys, names, notes, at=()):
     if g.is_constant():
         return [], True
     rs = lambda_roots(g)
-    if rs.unresolved:
+    left = g
+    for a, m in rs.roots:
+        left = left.exact_div(LambdaPoly((-a, 1)) ** m)
+    for r in more:
+        if left.degree < 2:
+            break
+        left = left.gcd(as_univariate(r, u))
+    complete = left.degree < 2
+    if not complete:
         notes.append(
             "unresolved degree-%d factor in %s%s"
-            % (rs.unresolved[0].degree, u, "".join(" at %s = %s" % b for b in at))
+            % (left.degree, u, "".join(" at %s = %s" % b for b in at))
         )
-    zeros, complete = [], rs.complete
+    zeros = []
     for a in rs.values:
         tails, ok = affine_zeros(
             [specialize(p, u, a) for p in live], rest, notes, at + ((u, a),)

@@ -144,6 +144,15 @@ def test_all_zero_and_constant_systems():
     assert both([X2**2 - 4], ("x2",))[0] == [(EisensteinScalar(-2),), (EisensteinScalar(2),)]
 
 
+def test_root_free_quadratic_is_noted():
+    # the zeros of x2^2 - 2 are not in Q(rho), but they are zeros: the
+    # quadratic is noted, whatever the variable it is left in
+    note = "unresolved degree-2 factor in x2"
+    assert both([X2**2 - 2], ("x2",)) == ([], False, [note])
+    assert both([X1 - 1, X2**2 - 2 * X1]) == ([], False, [note + " at x1 = 1"])
+    assert both([X1**2 - 2, X2 - X1]) == ([], False, ["unresolved degree-2 factor in x1"])
+
+
 CURVES = (
     "x1^2*x2 - x0^2*(x0 + x2)",
     "x1^2*x2 - x0^3",
@@ -151,6 +160,11 @@ CURVES = (
     "x0^4 + x1^4 + x2^4",
     "x1^2*x2^2 - x0^4",
     "(2 + rho)*x0^3 + x1^3 - 3/2*x2^3 + x0*x1*x2",
+    # an image of the tacnodal quartic x1^2*x2^2 - x0^4: the first two
+    # resultants of its singular-locus chart share a root-free cubic, and
+    # the third clears it
+    "x0^4 + 2*x0^3*x2 - 2*x0^2*x1^2 - 2*x0^2*x1*x2 + x0^2*x2^2 - 2*x0*x1^2*x2"
+    " - 2*x0*x1*x2^2 + x1^4 + 2*x1^3*x2 + x1^2*x2^2 - x2^4",
 )
 
 
@@ -212,20 +226,22 @@ def _line(*roots):
 def test_line_gcd_chain_stops_at_degree_one(monkeypatch):
     gcd, calls = _zrho.gcd, []
     monkeypatch.setattr(_zrho, "gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    one = EisensteinScalar(1)
     # shortest first: (x-1)(x-2) and (x-1)(x-3) leave x - 1, and the
     # longer polynomial is never taken into the chain
-    assert curve._line_zeros([_line(1, 1, 4, 5), _line(1, 2), _line(1, 3)], "x2", []) == [(1, 0, 1)]
+    tables = [[_line(1, 1, 4, 5)], [_line(1, 2)], [_line(1, 3)]]
+    assert curve._affine_zeros(tables, ("x2",), []) == [(one,)]
     assert len(calls) == 1
     # the root 1 of the running gcd is no common root: (x-2)(x-3), left out
-    # of the chain, keeps it out, so no caller substitutes it
+    # of the chain, keeps it out, so it is never substituted
     calls.clear()
     notes = []
-    assert curve._gcd_roots([_line(1, 2), _line(1, 3), _line(2, 3)], "x2", notes, ()) == []
+    assert curve._affine_zeros([[_line(1, 2)], [_line(1, 3)], [_line(2, 3)]], ("x2",), notes) == []
     assert len(calls) == 1 and notes == []
     # a gcd of degree 2 runs the whole chain
     calls.clear()
-    assert curve._line_zeros([_line(1, 2, 3), _line(1, 2, 4), _line(1, 2, 5)], "x2", []) == [
-        (1, 0, 1), (2, 0, 1)]
+    tables = [[_line(1, 2, 3)], [_line(1, 2, 4)], [_line(1, 2, 5)]]
+    assert curve._affine_zeros(tables, ("x2",), []) == [(one,), (EisensteinScalar(2),)]
     assert len(calls) == 2 + 1  # the chain, then the squarefree part in solve
 
 

@@ -116,6 +116,7 @@ def test_singular_locus_of_corpus():
         (CUSPIDAL, {ProjectivePoint((0, 0, 1))}),
         (TACNODAL, {ProjectivePoint((0, 1, 0)), ProjectivePoint((0, 0, 1))}),
         (FERMAT, set()),
+        ("x0*x1*x2", {ProjectivePoint((1, 0, 0)), ProjectivePoint((0, 1, 0)), ProjectivePoint((0, 0, 1))}),
     ]:
         locus = singular_locus(_curve(text))
         assert locus.complete
@@ -148,7 +149,6 @@ def test_positive_dimensional_systems_stay_incomplete(text, part):
     if part == "locus":
         assert report["singular_locus_complete"] is False
     else:
-        assert report["singular_locus_complete"] is True
         assert report["flexes"]["complete"] is False
     assert curve._POSITIVE_DIMENSIONAL in report["notes"]
 
@@ -358,18 +358,31 @@ def test_special_case_runs_no_general_gcd(monkeypatch):
     assert calls == []  # the dual is one linear kernel, no gcd
 
 
-@pytest.mark.parametrize("name", sorted(corpus.CURVES) + ["sextic at lambda = 2"])
+# two curves whose singular points are irrational: nodes at
+# (+-sqrt(2) : 0 : 1), and at (1 : 1 : +-sqrt(2)) where the line meets the conic
+QUARTIC = "(x0^2 - 2*x2^2)^2 - x1^2*x2^2 + x1^4"
+LINE_CONIC = "(x0 - x1)*(x0^2 + x1^2 - x2^2)"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(corpus.CURVES) + ["sextic at lambda = 2", QUARTIC, LINE_CONIC]
+)
 def test_singular_locus_matches_sympy(name):
+    # the listed points are exactly the solutions in Q(rho), and the locus
+    # is complete exactly when there is no other
     sympy = pytest.importorskip("sympy")
-    if name in corpus.CURVES:
-        c = _curve(corpus.CURVES[name])
-    else:
+    if name == "sextic at lambda = 2":
         c = PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar("2")))
+    else:
+        c = _curve(corpus.CURVES.get(name, name))
     field = sympy.QQ.algebraic_field(sympy.sqrt(-3))
     rho = (sympy.sqrt(-3) - 1) / 2
 
-    def canonical(v):  # raises unless v lies in Q(sqrt(-3))
-        return field.to_sympy(field.from_sympy(sympy.sympify(v)))
+    def canonical(v):  # None unless v lies in Q(sqrt(-3))
+        try:
+            return field.to_sympy(field.from_sympy(sympy.sympify(v)))
+        except sympy.polys.polyerrors.CoercionFailed:
+            return None
 
     def value(x):
         return sympy.Rational(x.an, x.den) + sympy.Rational(x.bn, x.den) * rho
@@ -396,10 +409,11 @@ def test_singular_locus_matches_sympy(name):
         for sol in sols:
             assert set(sol) == set(free), "positive-dimensional singular locus"
             want.add(tuple(canonical(fixed.get(g, sol.get(g))) for g in gens))
+    rational = {p for p in want if None not in p}
     locus = singular_locus(c)
-    assert locus.complete
+    assert locus.complete == (rational == want)
     got = {tuple(canonical(value(x)) for x in p.coords) for p in locus.points}
-    assert got == want
+    assert got == rational
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +565,16 @@ def test_kernel_matches_sympy_rank(shape, data):
 def _certify(dual, c):
     """Checks f | D(grad f) by exact division, which raises otherwise."""
     dual.equation.substitute(chart_oracle.partials(c)).exact_div(c.equation)
+
+
+def test_dual_of_a_quartic_with_irrational_nodes():
+    # its two nodes are not in Q(rho), so the locus is incomplete and the
+    # class 12 - 2*2 is found by building every level up to the kernel
+    c = _curve(QUARTIC)
+    assert not singular_locus(c).complete
+    dual = dual_curve(c)
+    assert dual.degree == 8
+    _certify(dual, c)
 
 
 def test_dual_fermat_quintic():
