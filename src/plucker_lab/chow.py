@@ -10,24 +10,21 @@ genus of the incidence curve and count singular members of a pencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import add, index
 
 
-@dataclass(frozen=True)
 class ChowClass:
     """Integer coefficients indexed [a][b] for l^a h^b, plus the
     polarization degree d used by the degree map l^2 h^2 -> 2d."""
 
-    coeffs: tuple
-    d: int
+    __slots__ = ("coeffs", "d")
 
-    def __post_init__(self):
+    def __new__(cls, coeffs: tuple, d: int):
         try:
-            c = tuple(tuple(map(index, row)) for row in self.coeffs)
+            c = tuple(tuple(map(index, row)) for row in coeffs)
         except TypeError:
-            for a, row in enumerate(self.coeffs):
+            for a, row in enumerate(coeffs):
                 for b, v in enumerate(row):
                     if not hasattr(type(v), "__index__"):
                         raise ValueError(
@@ -36,9 +33,9 @@ class ChowClass:
             raise
         if len(c) != 3 or any(len(row) != 3 for row in c):
             raise ValueError("coefficients must form a 3x3 grid")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("polarization degree must be >= 1")
-        object.__setattr__(self, "coeffs", c)
+        return cls._raw(c, d)
 
     @classmethod
     def _raw(cls, coeffs: tuple, d: int) -> "ChowClass":
@@ -47,6 +44,22 @@ class ChowClass:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "d", d)
         return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ChowClass is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not ChowClass:
+            return NotImplemented
+        return (self.coeffs, self.d) == (other.coeffs, other.d)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.d))
+
+    def __repr__(self):
+        return "ChowClass(coeffs=%r, d=%r)" % (self.coeffs, self.d)
 
     @classmethod
     def zero(cls, d: int) -> "ChowClass":

@@ -10,7 +10,6 @@ check cites the acceptance criterion it implements.
 
 import functools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import (
@@ -57,7 +56,6 @@ def corpus_curve(name: str) -> PlaneCurve:
     return PlaneCurve.from_text(CURVES[name], X_VARS)
 
 
-@dataclass
 class ScenarioReport:
     """Deterministic record of one scenario run.
 
@@ -65,11 +63,18 @@ class ScenarioReport:
     criterion names the acceptance criterion the check implements.
     """
 
-    scenario: str
-    inputs: dict = field(default_factory=dict)
-    computed: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, scenario: str, inputs=None, computed=None, checks=None, notes=None):
+        self.scenario = scenario
+        self.inputs = {} if inputs is None else inputs
+        self.computed = {} if computed is None else computed
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is ScenarioReport else NotImplemented
+
+    def __repr__(self):
+        return "ScenarioReport(%s)" % ", ".join("%s=%r" % kv for kv in vars(self).items())
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _zrho
 from .scalars import (
@@ -118,8 +118,7 @@ _CLASS_DROP = {KIND_NODE: 2, KIND_CUSP: 3, KIND_TACNODE: 4}
 _HESSIAN_DROP = {KIND_NODE: 6, KIND_CUSP: 8, KIND_TACNODE: 12}
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(NamedTuple):
     point: ProjectivePoint
     multiplicity: int
     kind: str
@@ -140,19 +139,16 @@ class SingularityRecord:
         return out
 
 
-class _Noted:
-    """A search result whose notes give every reason it may have missed a
+def _complete(search) -> bool:
+    """A search result's notes give every reason it may have missed a
     point; it is complete exactly when there is none."""
-
-    @property
-    def complete(self) -> bool:
-        return not self.notes
+    return not search.notes
 
 
-@dataclass(frozen=True)
-class SingularLocus(_Noted):
+class SingularLocus(NamedTuple):
     points: tuple
     notes: tuple = ()
+    complete = property(_complete)
 
 
 class PlaneCurve:
@@ -457,11 +453,11 @@ def classified_singularities(c: PlaneCurve):
 # Flexes
 
 
-@dataclass(frozen=True)
-class FlexSearch(_Noted):
+class FlexSearch(NamedTuple):
     points: tuple
     count_with_multiplicity: int
     notes: tuple = ()
+    complete = property(_complete)
 
 
 def cross(u, v):

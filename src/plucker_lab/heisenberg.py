@@ -12,7 +12,7 @@ roots of one obstruction polynomial.  The test runs on Z[rho] int pairs
 """
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _zrho
 from .scalars import (
@@ -186,8 +186,7 @@ def enumerate_group():
     return list(_group())
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """Orbit of a point under the full group, points sorted canonically."""
 
     points: tuple
@@ -213,8 +212,7 @@ def orbit(p) -> Orbit:
     return Orbit(tuple(sorted(pts, key=ProjectivePoint.sort_key)))
 
 
-@dataclass(frozen=True)
-class FixedLocus:
+class FixedLocus(NamedTuple):
     """Points of the plane with nontrivial stabilizer: 9 lines and 9
     isolated points, plus the 12 points where three of the lines meet."""
 

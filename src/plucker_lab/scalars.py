@@ -11,8 +11,8 @@ used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _zrho
 
@@ -440,8 +440,7 @@ def render_lambda_poly(p: LambdaPoly) -> str:
 # Root finding over Q(rho)
 
 
-@dataclass(frozen=True)
-class RootSearch:
+class RootSearch(NamedTuple):
     """All Q(rho)-roots of a univariate polynomial plus leftovers.
 
     roots holds (root, multiplicity) pairs.  unresolved holds the monic

@@ -500,3 +500,16 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "nu = 36" in proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about half of
+    # the import time of the whole package
+    proc = subprocess.run(
+        [sys.executable, "-c", "import plucker_lab.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
