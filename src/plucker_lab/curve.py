@@ -254,12 +254,13 @@ def _affine_zeros(tables, names, notes, at=()):
     roots of _zrho.solve, the root core of lambda_roots.  Each value is
     substituted into the tables (_zrho.substitute) and the rest solved
     the same way, on the one-row tables that are not zero; with no name
-    left, () is a zero exactly when every table is zero.  At the last
-    name a value is kept only if every poly vanishes at it exactly, and
-    only the values of kept zeros become scalars.
+    left, () is a zero exactly when every table is zero, and a table that
+    is a nonzero constant leaves no zero before any resultant is taken.
+    At the last name a value is kept only if every poly vanishes at it
+    exactly, and only the values of kept zeros become scalars.
     """
     live = [t for t in tables if t]
-    if not names:
+    if not names or any(len(t) == 1 and len(t[0]) == 1 for t in live):
         return [] if live else [()]
     u, *rest = names
     cons, more = [t[0] for t in live if len(t) == 1], ()

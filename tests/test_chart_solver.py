@@ -245,6 +245,21 @@ def test_line_gcd_chain_stops_at_degree_one(monkeypatch):
     assert len(calls) == 2 + 1  # the chain, then the squarefree part in solve
 
 
+def test_a_constant_table_takes_no_resultant(monkeypatch):
+    # in the chart x0 = 1 of the tacnodal quartic the partial in x0 is the
+    # constant -4, so the chart has no zero: the resultant of the other two
+    # partials is never taken, and the whole singular locus takes none
+    resultant, calls = _zrho.resultant, []
+    monkeypatch.setattr(_zrho, "resultant", lambda *args: calls.append(1) or resultant(*args))
+    c = PlaneCurve.from_text("x1^2*x2^2 - x0^4")
+    notes = []
+    tables = [curve._chart(f, 0) for f in _zrho.gradient(c.form)]
+    assert curve._affine_zeros(tables, c.vars[1:], notes) == [] and notes == []
+    locus = curve.singular_locus(c)
+    assert [str(p) for p in locus.points] == ["(0 : 0 : 1)", "(0 : 1 : 0)"] and locus.complete
+    assert calls == []
+
+
 def test_line_systems_with_an_early_stop_match_the_oracle():
     x = MultiPoly.variable(X_VARS, "x2")
     for roots in ([(1, 2), (1, 3), (2, 3)], [(1, 2), (1, 3), (1, 1, 4)], [(0, 2), (0, 5), (0, 0, 7)]):
