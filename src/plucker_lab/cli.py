@@ -129,6 +129,11 @@ def _load_curve(args) -> PlaneCurve:
 # curve
 
 
+def _known(count):
+    """A count, or why there is none: the singular locus is incomplete."""
+    return "unknown (singular locus incomplete)" if count is None else count
+
+
 def _cmd_curve_analyze(args) -> int:
     c = _load_curve(args)
     report = analysis_report(c)
@@ -146,13 +151,13 @@ def _cmd_curve_analyze(args) -> int:
         )
     if report["flexes"] is not None:
         fx = report["flexes"]
-        lines.append(
-            "flexes: %d counted with multiplicity, complete: %s"
-            % (fx["count_with_multiplicity"], fx["complete"])
-        )
+        count = fx["count_with_multiplicity"]
+        if count is not None:
+            count = "%d counted with multiplicity" % count
+        lines.append("flexes: %s, complete: %s" % (_known(count), fx["complete"]))
         for p in fx["points"]:
             lines.append("  (%s)" % " : ".join(p))
-    lines.append("geometric genus: %d" % report["geometric_genus"])
+    lines.append("geometric genus: %s" % _known(report["geometric_genus"]))
     for n in report["notes"]:
         lines.append("note: %s" % n)
     _emit(args, report, "\n".join(lines))
@@ -186,8 +191,8 @@ def _cmd_curve_flexes(args) -> int:
         "notes": list(fx.notes),
     }
     lines = [
-        "flexes counted with multiplicity: %d (complete: %s)"
-        % (fx.count_with_multiplicity, fx.complete)
+        "flexes counted with multiplicity: %s (complete: %s)"
+        % (_known(fx.count_with_multiplicity), fx.complete)
     ]
     for p in fx.points:
         lines.append("  %s" % p)

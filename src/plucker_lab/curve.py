@@ -456,7 +456,7 @@ def classified_singularities(c: PlaneCurve):
 
 class FlexSearch(NamedTuple):
     points: tuple
-    count_with_multiplicity: int
+    count_with_multiplicity: int | None
     notes: tuple = ()
     complete = property(_complete)
 
@@ -490,8 +490,10 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
     The curve meets its Hessian in 3d(d-2) points counted with
     multiplicity; singular points absorb a known share each (6 per node,
     8 per cusp, 12 per tacnode, 3m(m-1) per ordinary m-fold point) and
-    the rest are flexes.  classified is the (records, locus) pair of
-    classified_singularities(c) when the caller has it already.
+    the rest are flexes.  The count is None when the singular locus is
+    incomplete: the points it may have missed absorb an unknown share.
+    classified is the (records, locus) pair of classified_singularities(c)
+    when the caller has it already.
     """
     h = _zrho.hessian(c.form)
     if not h:
@@ -519,7 +521,7 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
     notes.extend(zero_notes)
     sing_points = {rec.point for rec in records}
     flex_points = tuple(p for p in pts if p not in sing_points)
-    return FlexSearch(flex_points, total, tuple(dict.fromkeys(notes)))
+    return FlexSearch(flex_points, total if locus.complete else None, tuple(dict.fromkeys(notes)))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +677,9 @@ def geometric_genus(c: PlaneCurve, sings) -> int:
 
 
 def analysis_report(c: PlaneCurve) -> dict:
-    """Everything at once, JSON-ready: singularities, flexes, genus."""
+    """Everything at once, JSON-ready: singularities, flexes, genus.  The
+    genus and the flex count are None when the singular locus is
+    incomplete, as neither can be certified then."""
     records, locus = classified_singularities(c)
     notes = list(locus.notes)
     with warnings.catch_warnings(record=True) as caught:
@@ -702,7 +706,7 @@ def analysis_report(c: PlaneCurve) -> dict:
         "singularities": [r.as_dict() for r in records],
         "singular_locus_complete": locus.complete,
         "flexes": flex_data,
-        "geometric_genus": genus,
+        "geometric_genus": genus if locus.complete else None,
         "genus_warning": genus_warning,
         "notes": notes,
     }

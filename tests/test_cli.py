@@ -104,6 +104,22 @@ def test_curve_analyze_keeps_the_unresolved_factor_notes(capsys):
     ]
 
 
+def test_no_genus_or_flex_count_from_an_incomplete_locus(capsys):
+    # the nodes (+-sqrt(2) : 0 : 1) lie outside Q(rho); from the points
+    # found alone the genus would read 3 and the flex count 24, not 1 and 12
+    quartic, unknown = "(x0^2 - 2*x2^2)^2 - x1^2*x2^2 + x1^4", "unknown (singular locus incomplete)"
+    data = json.loads(run(capsys, ["curve", "analyze", "--format", "json", "--", quartic])[1])
+    assert data["singular_locus_complete"] is False and data["geometric_genus"] is None
+    assert data["flexes"]["count_with_multiplicity"] is None
+    data = json.loads(run(capsys, ["curve", "flexes", "--format", "json", "--", quartic])[1])
+    assert data["count_with_multiplicity"] is None and data["complete"] is False
+    out = run(capsys, ["curve", "analyze", "--", quartic])[1]
+    assert "flexes: %s, complete: False\n" % unknown in out
+    assert "geometric genus: %s\n" % unknown in out
+    out = run(capsys, ["curve", "flexes", "--", quartic])[1]
+    assert "flexes counted with multiplicity: %s (complete: False)\n" % unknown in out
+
+
 def test_curve_analyze_with_lambda(capsys):
     code, out, _ = run(
         capsys,

@@ -364,6 +364,16 @@ QUARTIC = "(x0^2 - 2*x2^2)^2 - x1^2*x2^2 + x1^4"
 LINE_CONIC = "(x0 - x1)*(x0^2 + x1^2 - x2^2)"
 
 
+@pytest.mark.parametrize("text", [QUARTIC, LINE_CONIC])
+def test_an_incomplete_locus_certifies_no_genus_or_flex_count(text):
+    c = _curve(text)
+    report = analysis_report(c)
+    assert not report["singular_locus_complete"] and report["geometric_genus"] is None
+    assert report["flexes"]["count_with_multiplicity"] is None
+    fx = flexes(c)
+    assert fx.count_with_multiplicity is None and not fx.complete
+
+
 @pytest.mark.parametrize(
     "name", sorted(corpus.CURVES) + ["sextic at lambda = 2", QUARTIC, LINE_CONIC]
 )
