@@ -32,8 +32,8 @@ from .curve import (  # noqa: F401
     classified_singularities,
     dual_curve,
     flexes,
-    geometric_genus,
     parse_point,
+    pluecker_counts,
     singular_locus,
 )
 from .pluecker import (  # noqa: F401

@@ -90,34 +90,33 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(out)
 
 
-def _parse_vars(spec: str):
-    names = tuple(v.strip() for v in spec.split(",") if v.strip())
-    if len(names) != 3:
-        raise UsageError("--vars needs 3 comma-separated names, got %r" % spec)
-    return names
-
-
-def _read_poly_text(args) -> str:
+def _parse(args, default_vars):
+    """The polynomial given inline or with --file, in the three variables
+    of --vars or else default_vars."""
+    variables = default_vars
+    if args.vars:
+        variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+        if len(variables) != 3:
+            raise UsageError("--vars needs 3 comma-separated names, got %r" % args.vars)
+    text = args.poly
     if args.file is not None:
-        if args.poly is not None:
+        if text is not None:
             raise UsageError("give the polynomial inline or with --file, not both")
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
-                return fh.read().strip()
+                text = fh.read().strip()
         except OSError as e:
             raise UsageError(str(e))
-    if args.poly is None:
+    if text is None:
         raise UsageError("missing polynomial: pass it inline or with --file")
-    return args.poly
+    try:
+        return parse_poly(text, variables)
+    except PolyParseError as e:
+        raise UsageError("cannot parse polynomial: %s" % e)
 
 
 def _load_curve(args) -> PlaneCurve:
-    variables = _parse_vars(args.vars) if args.vars else X_VARS
-    text = _read_poly_text(args)
-    try:
-        p = parse_poly(text, variables)
-    except PolyParseError as e:
-        raise UsageError("cannot parse polynomial: %s" % e)
+    p = _parse(args, X_VARS)
     if args.lam is not None:
         p = p.specialize_lambda(parse_scalar(args.lam))
     if not p.lambda_free():
@@ -130,8 +129,9 @@ def _load_curve(args) -> PlaneCurve:
 
 
 def _known(count):
-    """A count, or why there is none: the singular locus is incomplete."""
-    return "unknown (singular locus incomplete)" if count is None else count
+    """A count, or why there is none: the singular locus is incomplete or
+    has an unclassified point."""
+    return "unknown (singular locus incomplete or unclassified)" if count is None else count
 
 
 def _cmd_curve_analyze(args) -> int:
@@ -284,14 +284,7 @@ def _cmd_heisenberg_fixed(args) -> int:
 
 
 def _cmd_heisenberg_check(args) -> int:
-    variables = _parse_vars(args.vars) if args.vars else None
-    if variables is None:
-        variables = ("y0", "y1", "y2") if args.quadratic_map else X_VARS
-    text = _read_poly_text(args)
-    try:
-        p = parse_poly(text, variables)
-    except PolyParseError as e:
-        raise UsageError("cannot parse polynomial: %s" % e)
+    p = _parse(args, ("y0", "y1", "y2") if args.quadratic_map else X_VARS)
     obs = curve_orbit_obstruction(p, use_quadratic_map=args.quadratic_map)
     payload = {"orbits": []}
     lines = []

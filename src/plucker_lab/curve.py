@@ -7,13 +7,16 @@ search result carries notes, one for each reason it may have missed a
 point, so callers can tell "none found" from "none found among
 scalar-resolvable points": a search is complete exactly when it has no
 note.
+
+The class, the flex count and the genus come from one rule,
+pluecker_counts, and none of them is given when the singular locus is
+incomplete or has an unclassified point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from typing import NamedTuple
 
 from . import _zrho
@@ -72,8 +75,10 @@ class ProjectivePoint:
         inv = pivot.inverse()
         object.__setattr__(self, "coords", tuple(c * inv for c in cs))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("ProjectivePoint is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -111,11 +116,6 @@ KIND_ORDINARY = "ordinary"
 KIND_UNCLASSIFIED = "unclassified"
 
 _ADE = {KIND_NODE: "A1", KIND_CUSP: "A2", KIND_TACNODE: "A3"}
-
-# drop in class d(d-1) - ... per singularity, and local intersection
-# multiplicity with the Hessian curve, by kind
-_CLASS_DROP = {KIND_NODE: 2, KIND_CUSP: 3, KIND_TACNODE: 4}
-_HESSIAN_DROP = {KIND_NODE: 6, KIND_CUSP: 8, KIND_TACNODE: 12}
 
 
 class SingularityRecord(NamedTuple):
@@ -177,8 +177,10 @@ class PlaneCurve:
         object.__setattr__(self, "degree", equation.total_degree())
         object.__setattr__(self, "form", equation.cleared()[0])
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("PlaneCurve is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_text(cls, text: str, variables=X_VARS) -> "PlaneCurve":
@@ -450,6 +452,26 @@ def classified_singularities(c: PlaneCurve):
     return tuple(classify_singularity(c, p) for p in locus.points), locus
 
 
+def pluecker_counts(d: int, records, locus):
+    """(m, f, g): the class, flex count and geometric genus of a curve of
+    degree d by pluecker's (1), (3) and (g) on one (nu, kappa) count, a
+    cusp as one cusp and any other classified point as delta nodes (a
+    tacnode as 2, an ordinary m-fold point as m(m-1)/2; Brieskorn &
+    Knoerrer, Plane Algebraic Curves, section 9).  None unless locus is
+    complete and every record classified: a missed point, or the lower
+    bound delta of an unclassified one, moves all three by an unknown
+    amount.  A negative value means the curve is reducible."""
+    if not locus.complete or any(r.kind == KIND_UNCLASSIFIED for r in records):
+        return None
+    kappa = sum(r.kind == KIND_CUSP for r in records)
+    nu = sum(r.delta for r in records) - kappa
+    return (
+        d * (d - 1) - 2 * nu - 3 * kappa,
+        3 * d * (d - 2) - 6 * nu - 8 * kappa,
+        (d - 1) * (d - 2) // 2 - nu - kappa,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Flexes
 
@@ -488,10 +510,8 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
     """Smooth inflection points and their Bezout-weighted count.
 
     The curve meets its Hessian in 3d(d-2) points counted with
-    multiplicity; singular points absorb a known share each (6 per node,
-    8 per cusp, 12 per tacnode, 3m(m-1) per ordinary m-fold point) and
-    the rest are flexes.  The count is None when the singular locus is
-    incomplete: the points it may have missed absorb an unknown share.
+    multiplicity; singular points absorb a known share each and the rest
+    are flexes: the count is the f of pluecker_counts, or None.
     classified is the (records, locus) pair of classified_singularities(c)
     when the caller has it already.
     """
@@ -500,46 +520,25 @@ def flexes(c: PlaneCurve, classified=None) -> FlexSearch:
         raise DegenerateHessianError(
             "identically-zero Hessian: ruled or degenerate input"
         )
-    d = c.degree
     records, locus = classified or classified_singularities(c)
-    notes = list(locus.notes)
-    total = 3 * d * (d - 2)
-    for rec in records:
-        if rec.kind in _HESSIAN_DROP:
-            total -= _HESSIAN_DROP[rec.kind]
-        elif rec.kind == KIND_ORDINARY:
-            total -= 3 * rec.multiplicity * (rec.multiplicity - 1)
-        else:
-            notes.append(
-                "count not certified: unclassified singularity at %s"
-                % rec.point
-            )
-    if total < 0:
+    counts = pluecker_counts(c.degree, records, locus)
+    total = None if counts is None else counts[1]
+    notes = list(locus.notes) + [
+        "count not certified: unclassified singularity at %s" % rec.point
+        for rec in records if rec.kind == KIND_UNCLASSIFIED
+    ]
+    if total is not None and total < 0:
         notes.append("flex count went negative; input likely reducible")
         total = 0
     pts, zero_notes = projective_common_zeros([c.form, h], c.vars)
     notes.extend(zero_notes)
     sing_points = {rec.point for rec in records}
     flex_points = tuple(p for p in pts if p not in sing_points)
-    return FlexSearch(flex_points, total if locus.complete else None, tuple(dict.fromkeys(notes)))
+    return FlexSearch(flex_points, total, tuple(dict.fromkeys(notes)))
 
 
 # ---------------------------------------------------------------------------
 # Dual curves
-
-
-def expected_class(d: int, records) -> int:
-    """Plucker class d(d-1) minus the drop of each classified singularity
-    (a tacnode counting as two nodes)."""
-    m = d * (d - 1)
-    for rec in records:
-        if rec.kind in _CLASS_DROP:
-            m -= _CLASS_DROP[rec.kind]
-        elif rec.kind == KIND_ORDINARY:
-            m -= rec.multiplicity * (rec.multiplicity - 1)
-        else:
-            raise ValueError("unclassified singularity: no class certificate")
-    return m
 
 
 class DualKernelError(ValueError):
@@ -571,16 +570,15 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
     the monomials they touch: the largest block, which holds the dual on
     every corpus curve (10 of the Fermat quartic's 91 columns), is
     eliminated exactly, and a smaller one only when it is not proved full
-    rank mod one prime.  m is the
-    predicted class when the singular locus is complete and classified;
-    otherwise every level is built in turn up to the least m <= d(d-1)
-    with a nonzero kernel.  A predicted class below 2 (lines, whose dual
-    is a set of points) raises ValueError; a kernel that is not
-    1-dimensional raises DualKernelError.  A curve whose Hessian vanishes
-    identically (a rank-2 conic, concurrent lines) raises
-    DegenerateHessianError first: by Gordan and Noether (Math. Ann. 10,
-    1876) a ternary form has an identically zero Hessian exactly when its
-    partials are linearly dependent, which the same kernel decides.
+    rank mod one prime.  m is the class of pluecker_counts when it gives
+    one; otherwise every level is built in turn up to the least m <= d(d-1)
+    with a nonzero kernel.  A class below 2 (lines, whose dual is a set
+    of points) raises ValueError; a kernel that is not 1-dimensional
+    raises DualKernelError.  A curve whose Hessian vanishes identically
+    (a rank-2 conic, concurrent lines) raises DegenerateHessianError
+    first: by Gordan and Noether (Math. Ann. 10, 1876) a ternary form has
+    an identically zero Hessian exactly when its partials are linearly
+    dependent, which the same kernel decides.
     """
     f = dict(c.form)
     grads = _zrho.gradient(f)
@@ -591,11 +589,8 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
         )
     d = c.degree
     out_vars = U_VARS if c.vars != U_VARS else X_VARS
-    records, locus = classified_singularities(c)
-    try:
-        m_expected = expected_class(d, records) if locus.complete else None
-    except ValueError:
-        m_expected = None
+    counts = pluecker_counts(d, *classified_singularities(c))
+    m_expected = None if counts is None else counts[0]
     if m_expected is not None and m_expected < 2:  # a non-line has class >= 2
         raise ValueError(
             "the curve is a union of lines (class %d): its dual is a set of "
@@ -655,39 +650,20 @@ def dual_curve(c: PlaneCurve) -> PlaneCurve:
 
 
 # ---------------------------------------------------------------------------
-# Genus
-
-
-def geometric_genus(c: PlaneCurve, sings) -> int:
-    """(d-1)(d-2)/2 minus the delta invariants; a negative value means
-    the completeness assumption failed (reducible input) and raises a
-    UserWarning."""
-    g = (c.degree - 1) * (c.degree - 2) // 2 - sum(r.delta for r in sings)
-    if g < 0:
-        warnings.warn(
-            "negative geometric genus (%d): the curve is reducible" % g,
-            UserWarning,
-            stacklevel=2,
-        )
-    return g
-
-
-# ---------------------------------------------------------------------------
 # Whole-curve report
 
 
 def analysis_report(c: PlaneCurve) -> dict:
     """Everything at once, JSON-ready: singularities, flexes, genus.  The
-    genus and the flex count are None when the singular locus is
-    incomplete, as neither can be certified then."""
+    genus and the flex count are the g and f of pluecker_counts, or None
+    where it certifies none."""
     records, locus = classified_singularities(c)
+    counts = pluecker_counts(c.degree, records, locus)
+    genus = None if counts is None else counts[2]
     notes = list(locus.notes)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        genus = geometric_genus(c, records)
-    genus_warning = bool(caught)
+    genus_warning = genus is not None and genus < 0
     if genus_warning:
-        notes.append(str(caught[0].message))
+        notes.append("negative geometric genus (%d): the curve is reducible" % genus)
     flex_data = None
     try:
         fx = flexes(c, (records, locus))
@@ -706,7 +682,7 @@ def analysis_report(c: PlaneCurve) -> dict:
         "singularities": [r.as_dict() for r in records],
         "singular_locus_complete": locus.complete,
         "flexes": flex_data,
-        "geometric_genus": genus if locus.complete else None,
+        "geometric_genus": genus,
         "genus_warning": genus_warning,
         "notes": notes,
     }

@@ -64,8 +64,10 @@ class ProjectiveTransform:
             raise ValueError("transform matrix is singular")
         object.__setattr__(self, "rows", rs)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("ProjectiveTransform is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def identity(cls) -> "ProjectiveTransform":

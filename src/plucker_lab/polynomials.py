@@ -119,8 +119,10 @@ class MultiPoly:
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("MultiPoly is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _raw(cls, variables, terms) -> "MultiPoly":

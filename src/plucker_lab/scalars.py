@@ -38,8 +38,10 @@ class EisensteinScalar:
         object.__setattr__(self, "bn", bn // g)
         object.__setattr__(self, "den", den // g)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("EisensteinScalar is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _raw(cls, an: int, bn: int, den: int) -> "EisensteinScalar":
@@ -231,8 +233,10 @@ class LambdaPoly:
             lifted.pop()
         object.__setattr__(self, "coeffs", tuple(lifted))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("LambdaPoly is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _raw(cls, coeffs) -> "LambdaPoly":

@@ -107,7 +107,8 @@ def test_curve_analyze_keeps_the_unresolved_factor_notes(capsys):
 def test_no_genus_or_flex_count_from_an_incomplete_locus(capsys):
     # the nodes (+-sqrt(2) : 0 : 1) lie outside Q(rho); from the points
     # found alone the genus would read 3 and the flex count 24, not 1 and 12
-    quartic, unknown = "(x0^2 - 2*x2^2)^2 - x1^2*x2^2 + x1^4", "unknown (singular locus incomplete)"
+    quartic = "(x0^2 - 2*x2^2)^2 - x1^2*x2^2 + x1^4"
+    unknown = "unknown (singular locus incomplete or unclassified)"
     data = json.loads(run(capsys, ["curve", "analyze", "--format", "json", "--", quartic])[1])
     assert data["singular_locus_complete"] is False and data["geometric_genus"] is None
     assert data["flexes"]["count_with_multiplicity"] is None
@@ -118,6 +119,34 @@ def test_no_genus_or_flex_count_from_an_incomplete_locus(capsys):
     assert "geometric genus: %s\n" % unknown in out
     out = run(capsys, ["curve", "flexes", "--", quartic])[1]
     assert "flexes counted with multiplicity: %s (complete: False)\n" % unknown in out
+
+
+def test_no_genus_or_flex_count_from_an_unclassified_point(capsys):
+    # (t^2 : t^5 : 1) parametrizes the curve, so its genus is 0; the deltas
+    # 2 and 3 of its two unclassified points are only lower bounds, from
+    # which the genus would read 1 and the flex count 45
+    quintic = "x1^2*x2^3 - x0^5"
+    data = json.loads(run(capsys, ["curve", "analyze", "--format", "json", "--", quintic])[1])
+    assert data["singular_locus_complete"] is True
+    assert [s["kind"] for s in data["singularities"]] == ["unclassified"] * 2
+    assert data["geometric_genus"] is None and data["genus_warning"] is False
+    assert data["flexes"]["count_with_multiplicity"] is None
+    assert data["notes"] == [
+        "count not certified: unclassified singularity at (0 : 0 : 1)",
+        "count not certified: unclassified singularity at (0 : 1 : 0)",
+    ]
+    out = run(capsys, ["curve", "analyze", "--", quintic])[1]
+    assert "geometric genus: unknown (singular locus incomplete or unclassified)\n" in out
+    data = json.loads(run(capsys, ["curve", "dual", "--format", "json", "--", quintic])[1])
+    assert data["degree"] == 5
+
+
+def test_no_genus_warning_without_a_genus(capsys):
+    # x0^2*(x1 + x2) has a double line: its singular locus is a whole line
+    data = json.loads(run(capsys, ["curve", "analyze", "--format", "json", "--", "x0^2*x1 + x0^2*x2"])[1])
+    assert data["singular_locus_complete"] is False and data["geometric_genus"] is None
+    assert data["genus_warning"] is False
+    assert not any("negative geometric genus" in n for n in data["notes"])
 
 
 def test_curve_analyze_with_lambda(capsys):
@@ -238,6 +267,19 @@ def test_curve_rejects_two_sources(tmp_path, capsys):
     code, _, err = run(capsys, ["curve", "analyze", CUSPIDAL, "--file", str(path)])
     assert code == 2
     assert "either" in err or "both" in err
+
+
+@pytest.mark.parametrize("command", [["curve", "analyze"], ["heisenberg", "check-curve"]])
+def test_polynomial_usage_errors(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv, message in [
+        ([], "missing polynomial: pass it inline or with --file"),
+        (["--vars", "a,b", CUSPIDAL], "--vars needs 3 comma-separated names, got 'a,b'"),
+        (["--file", missing], missing),
+        (["--", "x0 +"], "cannot parse polynomial: "),
+    ]:
+        code, out, err = run(capsys, command + argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err
 
 
 def test_curve_parse_error_exit_code(capsys):

@@ -1,7 +1,6 @@
 import math
 import random
 import sys
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -38,10 +37,9 @@ from plucker_lab.curve import (
     classified_singularities,
     classify_singularity,
     dual_curve,
-    expected_class,
     flexes,
-    geometric_genus,
     parse_point,
+    pluecker_counts,
     singular_locus,
 )
 
@@ -621,7 +619,7 @@ def _moved_dual_agrees(text, m):
     dual = dual_curve(moved)
     records, locus = classified_singularities(moved)
     assert locus.complete
-    assert dual.degree == expected_class(moved.degree, records) == base.degree
+    assert dual.degree == pluecker_counts(moved.degree, records, locus)[0] == base.degree
     _certify(dual, moved)
     want = base.equation.substitute(_linear_images(_cofactors(m), U_VARS))
     assert proportional(dual.equation, want)
@@ -835,34 +833,83 @@ def test_dual_rejects_identically_zero_hessian():
             dual_curve(c)
 
 
-def test_expected_class():
-    records, _ = classified_singularities(_curve(NODAL))
-    assert expected_class(3, records) == 4
-    records, _ = classified_singularities(_curve(CUSPIDAL))
-    assert expected_class(3, records) == 3
-    records, _ = classified_singularities(_curve(TACNODAL))
-    assert expected_class(4, records) == 4
-
-
 # ---------------------------------------------------------------------------
-# genus and reports
+# class, flex count and genus, and reports
+
+
+def _counts(text):
+    c = _curve(text)
+    return pluecker_counts(c.degree, *classified_singularities(c))
+
+
+def test_expected_class():
+    assert _counts(NODAL)[0] == 4
+    assert _counts(CUSPIDAL)[0] == 3
+    assert _counts(TACNODAL)[0] == 4
 
 
 def test_geometric_genus():
-    for text, g in [(NODAL, 0), (CUSPIDAL, 0), (FERMAT, 1)]:
+    for text, g in [(NODAL, 0), (CUSPIDAL, 0), (FERMAT, 1), (TACNODAL, -1)]:
+        assert _counts(text)[2] == g
+
+
+# The per-kind drops of the class and of the flex count that the curve
+# layer kept before pluecker_counts, as its reference: an ordinary m-fold
+# point drops m(m-1) and 3m(m-1); the genus drops by the deltas.
+_CLASS_DROP = {KIND_NODE: 2, KIND_CUSP: 3, KIND_TACNODE: 4}
+_HESSIAN_DROP = {KIND_NODE: 6, KIND_CUSP: 8, KIND_TACNODE: 12}
+
+
+def _reference_counts(d, records):
+    m, f = d * (d - 1), 3 * d * (d - 2)
+    for rec in records:
+        k = rec.multiplicity
+        assert rec.kind in _CLASS_DROP or (rec.kind == KIND_ORDINARY and rec.delta == k * (k - 1) // 2)
+        m -= _CLASS_DROP.get(rec.kind, k * (k - 1))
+        f -= _HESSIAN_DROP.get(rec.kind, 3 * k * (k - 1))
+    return m, f, (d - 1) * (d - 2) // 2 - sum(rec.delta for rec in records)
+
+
+# every complete, classified curve of this module, with its kinds
+_CLASSIFIED = [
+    ("x0*x2 - x1^2", []),
+    (NODAL, [KIND_NODE]),
+    (CUSPIDAL, [KIND_CUSP]),
+    (TACNODAL, [KIND_TACNODE] * 2),
+    (FERMAT, []),
+    ("(x0^2 + x0*x1 + x1^2)*x2 + x0^3", [KIND_NODE]),
+    ("x1^2*x2 - x0^2*x2 + x0^3", [KIND_NODE]),
+    ("x1^2*x2^2 - 2*x0^2*x1*x2 + 2*x0^4", [KIND_TACNODE] * 2),
+    ("x0^3*x2 - x1^3*x2 + x0^4", [KIND_ORDINARY]),
+    ("x0^3*x2 - 2*x1^3*x2 + x1^4", [KIND_ORDINARY]),
+    ("(x0^5 + x1^5)*x2 + x0^6", [KIND_ORDINARY]),
+    ("x0^6 - x1^6", [KIND_ORDINARY]),
+    ("(x0 + x1)^3 + (x1 - x2)^3 + (x0 + x2)^3", [KIND_ORDINARY]),
+    ("sextic at lambda = 2", [KIND_CUSP] * 9),
+]
+
+
+@pytest.mark.parametrize("text, kinds", _CLASSIFIED, ids=range(len(_CLASSIFIED)))
+def test_pluecker_counts_match_the_per_kind_drops(text, kinds):
+    if text == "sextic at lambda = 2":
+        c = PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar("2")))
+    else:
         c = _curve(text)
-        records, _ = classified_singularities(c)
-        assert geometric_genus(c, records) == g
+    records, locus = classified_singularities(c)
+    assert locus.complete and sorted(r.kind for r in records) == kinds
+    assert pluecker_counts(c.degree, records, locus) == _reference_counts(c.degree, records)
 
 
-def test_geometric_genus_warns_when_negative():
-    c = _curve(TACNODAL)  # reducible: two conics with two tacnodes
-    records, _ = classified_singularities(c)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = geometric_genus(c, records)
-    assert g == -1
-    assert caught and issubclass(caught[0].category, UserWarning)
+def test_pluecker_counts_certify_nothing_from_an_unclassified_point():
+    # (t^2 : t^5 : 1) parametrizes the curve: its genus is 0, not the 1 of
+    # the lower bound deltas 2 and 3
+    c = _curve("x1^2*x2^3 - x0^5")
+    records, locus = classified_singularities(c)
+    assert locus.complete and [r.kind for r in records] == [KIND_UNCLASSIFIED] * 2
+    assert pluecker_counts(c.degree, records, locus) is None
+    assert pluecker_counts(c.degree, records[:0], locus) == (20, 45, 6)
+    incomplete = locus._replace(notes=("unresolved degree-2 factor in x1",))
+    assert pluecker_counts(c.degree, (), incomplete) is None
 
 
 def test_analysis_report_cuspidal():

@@ -1,7 +1,10 @@
 """The result records of the curve, heisenberg, scalars, chow and corpus
 layers, as callers see them: repr, read-only fields, equality and hash,
-completeness from notes, and fresh containers for every scenario report.
-(test_pluecker.py pins the two Pluecker records.)"""
+completeness from notes, and fresh containers for every scenario report;
+and the slotted value classes, whose fields can be neither set nor
+deleted.  (test_pluecker.py pins the two Pluecker records.)"""
+
+from fractions import Fraction
 
 import pytest
 
@@ -10,13 +13,15 @@ from plucker_lab.corpus import ScenarioReport
 from plucker_lab.curve import (
     FlexSearch,
     PlaneCurve,
+    ProjectivePoint,
     SingularityRecord,
     SingularLocus,
     classified_singularities,
     flexes,
 )
-from plucker_lab.heisenberg import FixedLocus, Orbit, fixed_locus, orbit
-from plucker_lab.scalars import LambdaPoly, RootSearch, lambda_roots
+from plucker_lab.heisenberg import FixedLocus, Orbit, ProjectiveTransform, fixed_locus, orbit
+from plucker_lab.polynomials import X_VARS, parse_poly
+from plucker_lab.scalars import EisensteinScalar, LambdaPoly, RootSearch, lambda_roots
 
 
 def _records():
@@ -85,6 +90,31 @@ def test_records_are_read_only(key):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert repr(record) == before
+
+
+# each slotted value class, an instance and its slots
+VALUES = {
+    "EisensteinScalar": (lambda: EisensteinScalar(Fraction(1, 3), 2), ("an", "bn", "den")),
+    "LambdaPoly": (lambda: LambdaPoly([1, 0, 2]), ("coeffs",)),
+    "ProjectivePoint": (lambda: ProjectivePoint([1, 2, 3]), ("coords",)),
+    "PlaneCurve": (lambda: PlaneCurve.from_text("x0*x2 - x1^2"), ("equation", "degree", "form")),
+    "ProjectiveTransform": (lambda: ProjectiveTransform([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), ("rows",)),
+    "MultiPoly": (lambda: parse_poly("x0 + 2*x1", X_VARS), ("vars", "terms")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_forbid_setting_and_deleting_a_slot(name):
+    make, slots = VALUES[name]
+    value = make()
+    before = repr(value)
+    for slot in slots + ("extra",):
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            setattr(value, slot, 0)
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            delattr(value, slot)
+    assert all(hasattr(value, slot) for slot in slots)
+    assert repr(value) == before
 
 
 def test_chow_class_equality_and_hash():
