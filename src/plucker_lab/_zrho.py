@@ -14,9 +14,9 @@ classifier, the normal forms and fraction-free kernel of the dual curve,
 the values of a lambda-family of curves in the orbit obstruction,
 and everything the chart solver of curve does below the resultant: the
 primitive-PRS gcd, the normal form of a polynomial up to a factor, exact
-evaluation and back-substitution, and the root core solve, which
-lambda_roots runs as well.  Scalars of Q(rho) enter through clear; every
-other function sees only ints.
+evaluation (which LambdaPoly.evaluate runs too) and back-substitution,
+and the root core solve, which lambda_roots runs as well.  Scalars of
+Q(rho) enter through clear; every other function sees only ints.
 """
 
 import math
@@ -659,9 +659,9 @@ def _lowest(a, b, d):
     return a // g, b // g, d // g
 
 
-def _sort_key(found):
+def _sort_key(root):
     """The order of scalars.scalar_sort_key on a root (a, b, d)."""
-    (a, b, d), _ = found
+    a, b, d = root
     ga, gb = math.gcd(a, d), math.gcd(b, d)
     return a // ga, d // ga, b // gb, d // gb
 
@@ -675,34 +675,33 @@ def _linear_root(f):
 
 
 def solve(f):
-    """Every root in Q(rho) of the nonzero polynomial f over Z[rho], with
-    its multiplicity, and the cofactor left once all are divided out.
+    """Every root in Q(rho) of the nonzero polynomial f over Z[rho], and
+    the cofactor left once all are divided out.
 
-    Returns (found, rest): found lists ((a, b, d), m) for the root
-    (a + b*rho)/d, in lowest terms with d > 0, of multiplicity m, in the
-    order of scalars.scalar_sort_key; rest is the normalized cofactor,
-    which has no root in Q(rho).  Zero roots are stripped
-    first and degree 1 is solved in closed form.  Otherwise f is
-    normalized and the roots of its squarefree part are found: in closed
-    form if that part is linear (f = c*(x - r)^m), else as the candidates
-    of roots that the part vanishes at exactly.  Each root is divided out
-    of f for its multiplicity.  The argument that no root is missed is in
-    scalars.lambda_roots."""
+    Returns (found, rest): found lists the distinct roots (a, b, d), each
+    (a + b*rho)/d in lowest terms with d > 0, in the order of
+    scalars.scalar_sort_key; rest is the normalized cofactor, which has
+    no root in Q(rho).  Zero roots are stripped first and degree 1 is
+    solved in closed form.  Otherwise f is normalized and its squarefree
+    part, which has the roots of f once each, is solved: in closed form if
+    linear (f = c*(x - r)^m), else by the p-adic search roots.  If they
+    number its degree, rest is 1; only otherwise is each divided out of f
+    for its multiplicity (_deflate).  No root is missed: scalars.lambda_roots."""
     k = next(i for i, x in enumerate(f) if x != (0, 0))
     f = f[k:]
-    found = [((0, 0, 1), k)] if k else []
+    found = [(0, 0, 1)] if k else []
     if len(f) == 2:
-        found.append((_linear_root(f), 1))
+        found.append(_linear_root(f))
         f = f[1:]
     elif len(f) > 2:
         f = normalize(f)
         s = _squarefree(f)
-        if len(s) == 2:
-            found_roots = [_linear_root(s)]
+        roots_of_s = [_linear_root(s)] if len(s) == 2 else [_lowest(*r) for r in roots(s)]
+        found += roots_of_s
+        if len(roots_of_s) == len(s) - 1:
+            f = f[-1:]
         else:
-            found_roots = [_lowest(*r) for r in roots(s)]
-        for root in found_roots:
-            f, m = _deflate(f, root)
-            found.append((root, m))
+            for root in roots_of_s:
+                f = _deflate(f, root)[0]
     found.sort(key=_sort_key)
     return found, normalize(f)

@@ -50,6 +50,9 @@ class ChowClass:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return ChowClass._raw, (self.coeffs, self.d)
+
     def __eq__(self, other):
         if type(other) is not ChowClass:
             return NotImplemented

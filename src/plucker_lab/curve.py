@@ -80,6 +80,9 @@ class ProjectivePoint:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return ProjectivePoint, (self.coords,)
+
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
@@ -182,6 +185,9 @@ class PlaneCurve:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return PlaneCurve, (self.equation,)
+
     @classmethod
     def from_text(cls, text: str, variables=X_VARS) -> "PlaneCurve":
         return cls(parse_poly(text, variables))
@@ -234,7 +240,7 @@ def _gcd_roots(fs, name, notes, at, more=()):
     if len(rest) >= 2:
         where = "".join(" at %s = %s" % (n, EisensteinScalar._raw(*x)) for n, x in at)
         notes.append("unresolved degree-%d factor in %s%s" % (len(rest) - 1, name, where))
-    return [x for x, _ in found if all(_zrho.value(f, x) == (0, 0) for f in fs)]
+    return [x for x in found if all(_zrho.value(f, x) == (0, 0) for f in fs)]
 
 
 def _affine_zeros(tables, names, notes, at=()):

@@ -69,6 +69,9 @@ class ProjectiveTransform:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return ProjectiveTransform, (self.rows,)
+
     @classmethod
     def identity(cls) -> "ProjectiveTransform":
         return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))

@@ -124,6 +124,9 @@ class MultiPoly:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return MultiPoly._raw, (self.vars, self.terms)
+
     @classmethod
     def _raw(cls, variables, terms) -> "MultiPoly":
         self = object.__new__(cls)

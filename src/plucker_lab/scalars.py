@@ -43,6 +43,9 @@ class EisensteinScalar:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return EisensteinScalar._raw, (self.an, self.bn, self.den)
+
     @classmethod
     def _raw(cls, an: int, bn: int, den: int) -> "EisensteinScalar":
         # den == 1 is already the normal form
@@ -238,6 +241,9 @@ class LambdaPoly:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return LambdaPoly._raw, (self.coeffs,)
+
     @classmethod
     def _raw(cls, coeffs) -> "LambdaPoly":
         self = object.__new__(cls)
@@ -353,10 +359,12 @@ class LambdaPoly:
         return bool(self.coeffs)
 
     def evaluate(self, value: EisensteinScalar) -> EisensteinScalar:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        if not self.coeffs:
+            return ZERO
+        pairs, den = _zrho.clear(self.coeffs)
+        v = EisensteinScalar._coerce(value)
+        x = _zrho.value(pairs, (v.an, v.bn, v.den))
+        return EisensteinScalar._raw(*x, den * v.den ** (len(pairs) - 1))
 
     def divmod(self, other: "LambdaPoly"):
         if other.is_zero():
@@ -507,16 +515,17 @@ def lambda_roots(p: LambdaPoly) -> RootSearch:
     2*|alpha|/sqrt(3) < C = isqrt(4*M^2 // 3) + 1.  With p^k > 2*D*C the
     symmetric residues are D*a and D*b themselves.
 
-    Each root x/d (x in Z[rho]) is then divided out of f for its
-    multiplicity, on ints: d^n * f(y/d) has the root y = x and the monic
-    divisor y - x.  A cofactor of degree >= 3 left after that has no root
-    in Q(rho), but is still returned, monic, in unresolved, and complete
-    is False for it.
+    The core returns the distinct roots; each x/d (x in Z[rho]) is then
+    divided out of the cleared p for its multiplicity (_zrho._deflate), on
+    ints: d^n * p(y/d) has the root y = x and the monic divisor y - x.  A
+    cofactor of degree >= 3 that the core leaves has no root in Q(rho),
+    but is still returned, monic, in unresolved, and complete is False.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every lambda as a root")
-    found, rest = _zrho.solve(_zrho.clear(p.coeffs)[0])
-    roots = tuple((EisensteinScalar._raw(*x), m) for x, m in found)
+    f = _zrho.clear(p.coeffs)[0]
+    found, rest = _zrho.solve(f)
+    roots = tuple((EisensteinScalar._raw(*x), _zrho._deflate(f, x)[1]) for x in found)
     if len(rest) < 4:
         return RootSearch(roots, ())
     lc = rest[-1][0]

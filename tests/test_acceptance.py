@@ -19,7 +19,6 @@ from plucker_lab.polynomials import (
     MultiPoly,
     X_VARS,
     bl2_sextic,
-    parse_poly,
     resultant,
 )
 from plucker_lab.curve import (

@@ -201,7 +201,7 @@ def test_every_zero_is_checked_on_the_polys(monkeypatch):
 
     def with_bogus_root(f):
         found, rest = solve(f)
-        return found + [(bogus, 1)], rest
+        return found + [bogus], rest
 
     def solved():
         out = []
@@ -213,6 +213,22 @@ def test_every_zero_is_checked_on_the_polys(monkeypatch):
     want = solved()
     monkeypatch.setattr(_zrho, "solve", with_bogus_root)
     assert solved() == want
+
+
+def test_split_chart_gcds_are_not_deflated(monkeypatch):
+    # at lambda = 2 and -7/8 every chart gcd of the sextic's singular locus
+    # splits over Q(rho): the roots of its squarefree part number that
+    # part's degree, so no root is divided out of it
+    deflate, calls = _zrho._deflate, []
+    monkeypatch.setattr(_zrho, "_deflate", lambda *args: calls.append(1) or deflate(*args))
+    for lam in (EisensteinScalar(2), EisensteinScalar(Fraction(-7, 8))):
+        locus = curve.singular_locus(PlaneCurve(bl2_sextic().specialize_lambda(lam)))
+        assert len(locus.points) == 9 and locus.complete
+    assert calls == []
+    # a root-free cofactor keeps its multiplicity: the x1-gcd of the Fermat
+    # quartic's flex system is x1^8 * (x1^4 + 1)^2, and its note counts 8
+    notes = curve.flexes(PlaneCurve.from_text("x0^4 + x1^4 + x2^4")).notes
+    assert "unresolved degree-8 factor in x1" in notes
 
 
 def _line(*roots):

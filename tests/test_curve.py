@@ -18,7 +18,6 @@ from plucker_lab.polynomials import (
     bl2_sextic,
     parse_poly,
     parse_scalar,
-    render_poly,
 )
 from plucker_lab.curve import (
     KIND_CUSP,

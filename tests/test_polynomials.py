@@ -9,7 +9,6 @@ from plucker_lab.curve import PlaneCurve, singular_locus
 from plucker_lab.scalars import ONE, RHO, ZERO, EisensteinScalar, LambdaPoly, render_lambda_poly
 from plucker_lab.polynomials import (
     SEXTIC_NOTE,
-    U_VARS,
     X_VARS,
     Y_VARS,
     MultiPoly,

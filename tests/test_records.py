@@ -2,8 +2,11 @@
 layers, as callers see them: repr, read-only fields, equality and hash,
 completeness from notes, and fresh containers for every scenario report;
 and the slotted value classes, whose fields can be neither set nor
-deleted.  (test_pluecker.py pins the two Pluecker records.)"""
+deleted, and which pickle and copy as values.  (test_pluecker.py pins
+the two Pluecker records.)"""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -115,6 +118,36 @@ def test_value_classes_forbid_setting_and_deleting_a_slot(name):
             delattr(value, slot)
     assert all(hasattr(value, slot) for slot in slots)
     assert repr(value) == before
+
+
+# the value classes, and two result records that hold them
+ROUND_TRIPS = {
+    **{name: make for name, (make, _) in VALUES.items()},
+    "ChowClass": lambda: ChowClass.l(2) * 3 + ChowClass.h(2),
+    "SingularLocus": lambda: _records()["locus"],
+    # a double root 1/2 + rho and the root-free cofactor lambda^3 - 2
+    "RootSearch": lambda: lambda_roots(
+        LambdaPoly([-EisensteinScalar(Fraction(1, 2), 1), 1]) ** 2 * LambdaPoly([-2, 0, 0, 1])
+    ),
+}
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize(
+    "copier", [_pickled, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_values_and_records_pickle_and_copy(name, copier):
+    value = ROUND_TRIPS[name]()
+    out = copier(value)
+    assert type(out) is type(value) and repr(out) == repr(value)
+    fields = getattr(type(value), "_fields", None) or type(value).__slots__
+    assert [getattr(out, f) for f in fields] == [getattr(value, f) for f in fields]
+    with pytest.raises(AttributeError):
+        setattr(out, fields[0], 0)
 
 
 def test_chow_class_equality_and_hash():

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from plucker_lab.polynomials import bl2_sextic
 from plucker_lab.scalars import (
     ONE,
     RHO,
@@ -15,8 +16,9 @@ from plucker_lab.scalars import (
     render_scalar,
     scalar_sort_key,
 )
-from lambda_poly_oracle import conjugate, derivative
+from lambda_poly_oracle import conjugate, derivative, evaluate
 from sqrt_oracle import eis_sqrt, fraction_sqrt
+from test_corpus import admissible_lambdas
 
 
 def _rand_scalar(rng, span=6):
@@ -175,10 +177,39 @@ def test_lambda_poly_basics():
     p = LambdaPoly([1, 0, 1])  # 1 + lambda^2
     assert p.degree == 2
     assert p.evaluate(EisensteinScalar(2)) == EisensteinScalar(5)
+    assert p.evaluate(2) == p.evaluate(Fraction(4, 2)) == EisensteinScalar(5)
     assert LambdaPoly([]).is_zero()
     assert LambdaPoly([0, 0]).is_zero()
     assert LambdaPoly([3]).is_constant()
     assert derivative(p) == LambdaPoly([0, 2])
+
+
+_coefficients = st.one_of(
+    st.sampled_from([ZERO, ONE, RHO, -RHO * RHO]),
+    st.builds(EisensteinScalar, _fractions, _fractions),
+)
+_values = st.builds(
+    EisensteinScalar,
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_coefficients, max_size=13).map(LambdaPoly), _values)
+def test_evaluate_matches_horner_on_scalars(p, value):
+    # the zero polynomial, constants and degrees up to 12, at 0 and at value
+    for at in (ZERO, value):
+        assert p.evaluate(at) == evaluate(p, at)
+
+
+def test_specialized_sextic_matches_horner_on_scalars():
+    # every coefficient of the sextic family at every admissible lambda
+    family = bl2_sextic()
+    for lam in admissible_lambdas():
+        want = {e: c for e, coeff in family.terms.items() if (c := evaluate(coeff, lam))}
+        got = family.specialize_lambda(lam).terms
+        assert {e: c.coeffs for e, c in got.items()} == {e: (c,) for e, c in want.items()}
 
 
 def test_lambda_poly_ring_random():

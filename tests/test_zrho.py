@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plucker_lab import _zrho
-from plucker_lab.scalars import EisensteinScalar, LambdaPoly
+from plucker_lab.scalars import EisensteinScalar, LambdaPoly, RootSearch, lambda_roots
 from lambda_poly_oracle import derivative
 from resultant_oracle import pair_resultant
 
@@ -417,13 +417,63 @@ def _no_search(cs, is_root):
 @settings(max_examples=150, deadline=None)
 @given(_pairs.filter(any), _pairs, st.integers(1, 9), st.integers(1, 12), st.integers(0, 2))
 def test_solve_takes_a_linear_squarefree_part_in_closed_form(c, x, d, m, k):
-    # c * (d*y - x)^m * y^k has the root x/d of multiplicity m, and 0 of k
+    # c * (d*y - x)^m * y^k has the root x/d of multiplicity m, and 0 of k;
+    # solve returns the roots, lambda_roots counts the multiplicities
     f = _times([c], *[[(-x[0], -x[1]), (d, 0)]] * m, *[[(0, 0), (1, 0)]] * k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_zrho, "roots", _no_search)
         found, rest = _zrho.solve(f)
+        search = lambda_roots(_lambda_poly(f))
     want = {(0, 0, 1): k} if k else {}
     root = _zrho._lowest(*x, d)
     want[root] = want.get(root, 0) + m
-    assert found == sorted(want.items(), key=_zrho._sort_key)
+    assert found == sorted(want, key=_zrho._sort_key)
     assert rest == [(1, 0)]
+    assert search == RootSearch(tuple((EisensteinScalar._raw(*r), want[r]) for r in found), ())
+
+
+def _sympy_roots(f, sympy):
+    """The distinct roots of f in Q(rho), from sympy's factorization over
+    Q(sqrt(-3)), as (a, b, d) triples in lowest terms."""
+    out = set()
+    for factor, _ in _sympy_poly(f, sympy).factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            root = sympy.expand(-c0 / c1)
+            # root = u + v*sqrt(-3) = (u + v) + 2v*rho
+            u = Fraction(str(sympy.re(root)))
+            v = Fraction(str(sympy.simplify(sympy.im(root) / sympy.sqrt(3))))
+            a, b = u + v, 2 * v
+            d = math.lcm(a.denominator, b.denominator)
+            out.add(_zrho._lowest(int(a * d), int(b * d), d))
+    return out
+
+
+# monic factors without a root in Q(rho): x^2 - 2, x^2 - (1 + rho) (as
+# 1 + rho = -rho^2 and -1 is no square), x^3 - 2 and x^3 - rho
+_ROOT_FREE = ([(-2, 0), (0, 0), (1, 0)], [(-1, -1), (0, 0), (1, 0)],
+              [(-2, 0), (0, 0), (0, 0), (1, 0)], [(0, -1), (0, 0), (0, 0), (1, 0)])
+_small_pairs = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    c=_small_pairs.filter(any),
+    linear=st.lists(st.tuples(_small_pairs, st.integers(1, 4), st.integers(1, 3)), max_size=4),
+    root_free=st.sampled_from(((),) + _ROOT_FREE),
+    power=st.integers(1, 2),
+)
+def test_solve_finds_the_roots_sympy_finds(c, linear, root_free, power):
+    # c * prod (d*y - x)^m * q^power, with q root-free or 1
+    sympy = pytest.importorskip("sympy")
+    factors = [[(-x[0], -x[1]), (d, 0)] for x, d, m in linear for _ in range(m)]
+    f = _times([c], *factors, *[root_free] * (power if root_free else 0))
+    found, rest = _zrho.solve(f)
+    assert found == sorted(_sympy_roots(f, sympy), key=_zrho._sort_key)
+    # the cofactor of a core that divides every root out of f for its
+    # multiplicity, whether or not anything root-free is left
+    deflated = _zrho.normalize(f)
+    for root in found:
+        deflated = _zrho._deflate(deflated, root)[0]
+    assert rest == deflated
+    assert len(rest) - 1 == ((len(root_free) - 1) * power if root_free else 0)
