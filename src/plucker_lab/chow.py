@@ -10,6 +10,7 @@ genus of the incidence curve and count singular members of a pencil.
 
 from __future__ import annotations
 
+import functools
 from math import isqrt
 from operator import add, index
 
@@ -187,6 +188,28 @@ def chern_twist(c1: ChowClass, c2: ChowClass, c3: ChowClass, m: ChowClass):
     return c1p, c2p, c3p
 
 
+@functools.cache
+def _incidence_grids() -> tuple:
+    """The coefficient grids of c1(E), c2(E), Gamma, omega.Gamma and
+    c1(E).Gamma, computed once per process.  The ring's structure
+    constants do not read d, so the twist runs at d = 1 and only the
+    grids are kept; they are tuples of ints, shared by every call."""
+    l = ChowClass._raw(((0, 0, 0), (1, 0, 0), (0, 0, 0)), 1)
+    h = ChowClass._raw(((0, 1, 0), (0, 0, 0), (0, 0, 0)), 1)
+    # c(J1) = (1 + 2l + l^2)(1 + l): c1 = 3l, c2 = 3l^2, c3 = l^3 -> 0
+    c1 = 3 * l
+    c2 = 3 * chow_mul(l, l)
+    c3 = ChowClass._raw(((0, 0, 0),) * 3, 1)
+    c1e, c2e, gamma = chern_twist(c1, c2, c3, h)
+    # canonical class of (surface) x (plane): 0 + (-3h)
+    omega = -3 * h
+    # Gamma is cut out as a top Chern class, so its normal bundle has
+    # first Chern class c1(E); adjunction then reads off omega_Gamma
+    return tuple(
+        c.coeffs for c in (c1e, c2e, gamma, chow_mul(omega, gamma), chow_mul(c1e, gamma))
+    )
+
+
 def incidence_numerology(d: int) -> dict:
     """Everything the twisted-jet computation produces, kept exact.
 
@@ -194,37 +217,31 @@ def incidence_numerology(d: int) -> dict:
     jet bundle of the polarization has total class (1+l)^2 (1+l) =
     (1 + 2l + l^2)(1 + l); twisting by h gives the bundle whose top
     Chern class is the incidence-curve class Gamma.
+
+    Only the degree map l^2 h^2 -> 2d reads d: the twist itself runs
+    once per process (_incidence_grids), and each call wraps its grids
+    as classes of degree d and takes their degrees.
     """
     if d < 1:
         raise ValueError("polarization degree must be >= 1")
-    # d >= 1 was checked, so the classes skip the validating constructor
-    l = ChowClass._raw(((0, 0, 0), (1, 0, 0), (0, 0, 0)), d)
-    h = ChowClass._raw(((0, 1, 0), (0, 0, 0), (0, 0, 0)), d)
-    # c(J1) = (1 + 2l + l^2)(1 + l): c1 = 3l, c2 = 3l^2, c3 = l^3 -> 0
-    c1 = 3 * l
-    c2 = 3 * chow_mul(l, l)
-    c3 = ChowClass._raw(((0, 0, 0),) * 3, d)
-    c1e, c2e, c3e = chern_twist(c1, c2, c3, h)
-    gamma = c3e
-    # canonical class of (surface) x (plane): 0 + (-3h)
-    omega = -3 * h
-    omega_dot_gamma = chow_mul(omega, gamma)
-    # Gamma is cut out as a top Chern class, so its normal bundle has
-    # first Chern class c1(E); adjunction then reads off omega_Gamma
-    normal_dot_gamma = chow_mul(c1e, gamma)
+    # d >= 1 was checked, so the classes skip the validating constructor;
+    # five plain calls, as a generator costs more than the rest of a call
+    # made between other work (the interpreter's caches are cold then)
+    c1e, c2e, gamma, omega_gamma, normal_gamma = _incidence_grids()
+    raw = ChowClass._raw
+    omega_dot_gamma, normal_dot_gamma = raw(omega_gamma, d), raw(normal_gamma, d)
     deg_omega = omega_dot_gamma.degree() + normal_dot_gamma.degree()
-    pa = deg_omega // 2 + 1
     return {
         "d": d,
-        "c1_E": c1e,
-        "c2_E": c2e,
-        "gamma": gamma,
+        "c1_E": raw(c1e, d),
+        "c2_E": raw(c2e, d),
+        "gamma": raw(gamma, d),
         "omega_dot_gamma": omega_dot_gamma,
         "normal_dot_gamma": normal_dot_gamma,
         "deg_omega_dot_gamma": omega_dot_gamma.degree(),
         "deg_normal_dot_gamma": normal_dot_gamma.degree(),
         "deg_omega": deg_omega,
-        "pa": pa,
+        "pa": deg_omega // 2 + 1,
     }
 
 

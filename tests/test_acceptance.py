@@ -33,6 +33,7 @@ from plucker_lab.pluecker import (
     dual_invariants,
     solve_nodes_cusps,
 )
+import plucker_lab.chow as chow
 from plucker_lab.chow import (
     ChowClass,
     incidence_numerology,
@@ -118,7 +119,11 @@ def test_criterion_2_degree_9_branches(acceptance_log):
 
 def test_criterion_3_incidence_genus(acceptance_log):
     def body():
-        data, dt = _best_of(lambda: incidence_numerology(3))
+        def cold():
+            chow._incidence_grids.cache_clear()  # time the twist, not a lookup
+            return incidence_numerology(3)
+
+        data, dt = _best_of(cold)
         assert data["pa"] == 28
         assert data["deg_omega"] == 54
         # intermediate l^2 h^2 coefficients and their intersection degrees
@@ -187,7 +192,7 @@ def test_criterion_5_group_suite(acceptance_log):
         assert dt < 0.1, "cold group suite took %.4fs" % dt
         return (
             "18 elements, 4 size-3 orbits matching the table point for "
-            "point, fixed locus 9 + 9 + 12, in %.0f ms" % (dt * 1000)
+            "point, fixed locus 9 + 9 + 12, under 100 ms"
         )
 
     _guard(acceptance_log, 5, body)
@@ -226,8 +231,7 @@ def test_criterion_6_orbit_exclusion(acceptance_log):
         assert dt < 10, "orbit exclusion took %.2fs" % dt
         return (
             "4 nonzero obstructions, exceptional set {1, rho, rho^2}, "
-            "%d of 5 random admissible lambdas excluded, %.2f s"
-            % (excluded, dt)
+            "%d of 5 random admissible lambdas excluded, under 10 s" % excluded
         )
 
     _guard(acceptance_log, 6, body)
@@ -250,7 +254,7 @@ def test_criterion_7_fermat_dual(acceptance_log):
         assert dt < 60, "dual analysis took %.2fs" % dt
         return (
             "dual of the Fermat cubic is a sextic with 9 cusps, all A2; "
-            "(6, 0, 9) cross-checks to class 3, genus 1; %.2f s" % dt
+            "(6, 0, 9) cross-checks to class 3, genus 1; under 60 s"
         )
 
     _guard(acceptance_log, 7, body)

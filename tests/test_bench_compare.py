@@ -88,16 +88,18 @@ def test_tests_lines_counts_the_top_level_test_modules(tmp_path):
     assert bench_compare.src_lines(tmp_path) == 1
 
 
-def _canned_output(correct=True, trace=0):
-    """The last three lines of a perfbench run, shaped like run.py's."""
+def _canned_output(correct=True, trace=0, attempted=21, undecided=1):
+    """The last three lines of a perfbench run, shaped like run.py's: its
+    rates count the set-up check as one more attempted op."""
+    rate = undecided / attempted
     record = {"workload": "special-sweep", "seed": 1, "trace": trace, "pass_size": 20,
-              "error_rate": 0.0, "undecided_rate": 0.05, "errors": [] if correct else ["boom"],
+              "error_rate": 0.0, "undecided_rate": rate, "errors": [] if correct else ["boom"],
               "env": {"src_sha256": "ab" * 32, "python": "3.11.7"}}
     metrics = {"pass_s": {"value": 0.31, "unit": "s"}}
     if trace:
         metrics["ops.error_rate"] = {"value": 0.0, "unit": "ratio"}
-        metrics["ops.undecided_rate"] = {"value": 0.05, "unit": "ratio"}
-    result = {"correct": correct, "attempted": 21, "failed": 0 if correct else 1,
+        metrics["ops.undecided_rate"] = {"value": rate, "unit": "ratio"}
+    result = {"correct": correct, "attempted": attempted, "failed": 0 if correct else 1,
               "metrics": metrics}
     return "pass_s  0.31 s\n%s\n%s\n" % (json.dumps(record), json.dumps(result))
 
@@ -107,6 +109,23 @@ def test_read_output_takes_the_rates_from_the_record_line(trace):
     metrics, digest = bench_compare.read_output(_canned_output(trace=trace), "here")
     assert metrics == {"pass_s": 0.31, "ops.error_rate": 0.0, "ops.undecided_rate": 0.05}
     assert digest == "ab" * 32
+
+
+def test_undecided_rate_is_scored_over_the_measured_passes_only():
+    # curve-corpus: 9 of 108 ops undecided in every pass, plus the set-up
+    # check; run.py reports 9P / (108P + 1), which rises with P
+    rates = {}
+    for passes in (300, 310):
+        out = _canned_output(attempted=108 * passes + 1, undecided=9 * passes)
+        rates[passes] = bench_compare.read_output(out, "here")[0]["ops.undecided_rate"]
+    assert rates[300] == rates[310] == 9 / 108
+    parent = _runs("ops.undecided_rate", [rates[300]] * 10)
+    change = _runs("ops.undecided_rate", [rates[310]] * 10)
+    entry = bench_compare.summarize(parent, change, {"ops.undecided_rate": "lower"})
+    assert (entry["ops.undecided_rate"]["wins"], entry["ops.undecided_rate"]["losses"]) == (0, 0)
+    # a run with no undecided op reads 0
+    assert bench_compare.read_output(_canned_output(undecided=0), "here")[0][
+        "ops.undecided_rate"] == 0.0
 
 
 def test_read_output_rejects_a_run_with_failed_ops():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from plucker_lab import chow
 from plucker_lab.chow import (
     EULER_ABELIAN_SURFACE,
     EULER_P1,
@@ -127,6 +128,76 @@ def test_incidence_genus_formula():
         assert data["deg_omega"] == 18 * d
     with pytest.raises(ValueError):
         incidence_numerology(0)
+
+
+def _numerology_oracle(d):
+    """The incidence numerology computed in full at degree d: the twist
+    with every class carrying d, as incidence_numerology once did on
+    every call."""
+    l, h = ChowClass.l(d), ChowClass.h(d)
+    c1e, c2e, gamma = chern_twist(3 * l, 3 * chow_mul(l, l), ChowClass.zero(d), h)
+    omega_dot_gamma = chow_mul(-3 * h, gamma)
+    normal_dot_gamma = chow_mul(c1e, gamma)
+    deg_omega = omega_dot_gamma.degree() + normal_dot_gamma.degree()
+    return {
+        "d": d,
+        "c1_E": c1e,
+        "c2_E": c2e,
+        "gamma": gamma,
+        "omega_dot_gamma": omega_dot_gamma,
+        "normal_dot_gamma": normal_dot_gamma,
+        "deg_omega_dot_gamma": omega_dot_gamma.degree(),
+        "deg_normal_dot_gamma": normal_dot_gamma.degree(),
+        "deg_omega": deg_omega,
+        "pa": deg_omega // 2 + 1,
+    }
+
+
+def test_incidence_numerology_matches_the_full_twist_at_every_degree():
+    for d in range(1, 101):
+        got, want = incidence_numerology(d), _numerology_oracle(d)
+        assert got == want
+        assert all(type(got[k]) is type(want[k]) for k in want)
+        assert all(got[k].d == d for k in want if isinstance(want[k], ChowClass))
+        assert got["pa"] == 9 * d + 1 and got["deg_omega"] == 18 * d
+
+
+def test_incidence_numerology_returns_a_fresh_dict():
+    first = incidence_numerology(4)
+    assert incidence_numerology(4) is not first
+    first["pa"] = -1
+    first["gamma"] = ChowClass.zero(4)
+    del first["c1_E"]
+    assert incidence_numerology(4) == _numerology_oracle(4)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_incidence_numerology_rejects_degrees_below_one(d):
+    with pytest.raises(ValueError, match=r"^polarization degree must be >= 1$"):
+        incidence_numerology(d)
+
+
+def test_the_twist_runs_once_per_process(monkeypatch):
+    calls = []
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return chow_mul(x, y)
+
+    monkeypatch.setattr(chow, "chow_mul", counting_mul)
+    chow._incidence_grids.cache_clear()
+    for d in range(1, 101):
+        incidence_numerology(d)
+    once = len(calls)
+    assert once > 0
+    for d in range(1, 101):
+        incidence_numerology(d)
+    assert len(calls) == once
+    chow._incidence_grids.cache_clear()
+    incidence_numerology(7)
+    assert len(calls) == 2 * once
+    # a cache filled through the counter holds the same grids
+    assert incidence_numerology(7) == _numerology_oracle(7)
 
 
 def test_pencil_singular_count():

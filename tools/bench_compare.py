@@ -15,7 +15,8 @@ Each side records its sha, the digest of its sources, ``src_lines``, the
 line count of src/plucker_lab/*.py, and ``tests_lines``, that of
 tests/*.py, so that lines moved from src/ into tests/ show as such.  The metrics of a run are those
 of its result line plus the error and undecided rates of its record line
-(``ops.error_rate``, ``ops.undecided_rate``).  For every metric the output
+(``ops.error_rate``, and ``ops.undecided_rate`` over the measured
+ops only).  For every metric the output
 records each side's values, median and quartiles, the pairs the change
 won (ties count for neither) and whether a gain is shown: the change
 wins at least nine tenths of the pairs and the medians differ, in the
@@ -156,15 +157,20 @@ def read_output(stdout, root):
 
     The metrics are the result line's, plus ``ops.error_rate`` and
     ``ops.undecided_rate`` from the record line before it, which carries
-    them also when the run is not traced."""
+    them also when the run is not traced.  perfbench counts the set-up
+    check as one attempted op that is never undecided, so the undecided
+    rate is rescored over the measured ops alone, undecided / (attempted
+    - 1): otherwise it rises with the number of passes a run completes."""
     lines = stdout.strip().splitlines()
     record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    attempted = result["attempted"]
     if not result["correct"]:
         raise RuntimeError("%s: %d of %d ops failed: %s" % (
-            root, result["failed"], result["attempted"], record.get("errors")))
+            root, result["failed"], attempted, record.get("errors")))
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics["ops.error_rate"] = record["error_rate"]
-    metrics["ops.undecided_rate"] = record["undecided_rate"]
+    undecided = round(record["undecided_rate"] * attempted)
+    metrics["ops.undecided_rate"] = undecided / (attempted - 1)
     return metrics, record["env"]["src_sha256"]
 
 
