@@ -17,6 +17,12 @@ primitive-PRS gcd, the normal form of a polynomial up to a factor, exact
 evaluation (which LambdaPoly.evaluate runs too) and back-substitution,
 and the root core solve, which lambda_roots runs as well.  Scalars of
 Q(rho) enter through clear; every other function sees only ints.
+
+The dense kernels do work in proportion to the nonzero coefficients:
+cross, exact_div and _remainder list the nonzero (index, a, b) of the
+second factor or the divisor once per call and loop over that list, and
+substitute builds the powers x^i * d^(n-i) of a root once and sums each
+row of every table over its nonzero entries only.
 """
 
 import math
@@ -57,20 +63,24 @@ def powers(x, n):
 
 
 def cross(x, pivot, lead, y):
-    """x*pivot - lead*y."""
+    """x*pivot - lead*y.  Each product runs over the nonzero coefficients
+    of both factors: those of the second are listed once per call."""
     n = max(len(x) + len(pivot), len(lead) + len(y), 1) - 1
     out_a = [0] * n
     out_b = [0] * n
     for p, q, neg in ((x, pivot, False), (lead, y, True)):
+        if not p:
+            continue
+        live = [(j, a, b) for j, (a, b) in enumerate(q) if a or b]
         for i, (a1, b1) in enumerate(p):
             if not (a1 or b1):
                 continue
             if neg:
                 a1, b1 = -a1, -b1
-            for j, (a2, b2) in enumerate(q, i):
+            for j, a2, b2 in live:
                 bb = b1 * b2
-                out_a[j] += a1 * a2 - bb
-                out_b[j] += a1 * b2 + b1 * a2 - bb
+                out_a[i + j] += a1 * a2 - bb
+                out_b[i + j] += a1 * b2 + b1 * a2 - bb
     out = list(zip(out_a, out_b))
     while out and out[-1] == (0, 0):
         out.pop()
@@ -81,7 +91,8 @@ def exact_div(p, d):
     """p / d; raises ArithmeticError on a nonzero remainder.
 
     Each quotient coefficient is the remainder's leading coefficient times
-    the conjugate of d's, divided by the norm of d's leading coefficient."""
+    the conjugate of d's, divided by the norm of d's leading coefficient;
+    each step subtracts its multiple of the nonzero coefficients of d."""
     if not p:
         return []
     top = len(d) - 1
@@ -91,6 +102,7 @@ def exact_div(p, d):
     rem_a = [a for a, _ in p]
     rem_b = [b for _, b in p]
     quot = [(0, 0)] * max(len(p) - top, 0)
+    live = [(i, da, db) for i, (da, db) in enumerate(d) if da or db]
     for k in range(len(quot) - 1, -1, -1):
         a, b = rem_a[k + top], rem_b[k + top]
         if not (a or b):
@@ -101,10 +113,10 @@ def exact_div(p, d):
         if ra or rb:
             break
         quot[k] = (qa, qb)
-        for i, (da, db) in enumerate(d, k):
+        for i, da, db in live:
             bb = qb * db
-            rem_a[i] -= qa * da - bb
-            rem_b[i] -= qa * db + qb * da - bb
+            rem_a[k + i] -= qa * da - bb
+            rem_b[k + i] -= qa * db + qb * da - bb
     if not quot or any(rem_a) or any(rem_b):
         raise ArithmeticError("inexact division over Z[rho]")
     return quot
@@ -555,24 +567,27 @@ def derivative(f):
 def _remainder(f, g):
     """The remainder of c*f on division by g (deg f >= deg g >= 0), where
     c is lc(g) to the number of steps that had a term to cancel: the
-    pseudo-remainder without its idle factors of lc(g)."""
+    pseudo-remainder without its idle factors of lc(g).  Each step
+    subtracts its multiple of the nonzero coefficients of g below the
+    leading one, and a rational lc(g) scales by one int (1: not at all)."""
     n = len(g) - 1
     la, lb = g[-1]
-    ra = [a for a, _ in f]
-    rb = [b for _, b in f]
+    live = [(i, ga, gb) for i, (ga, gb) in enumerate(g[:-1]) if ga or gb]
+    r = list(f)
     for k in range(len(f) - 1, n - 1, -1):
-        ca, cb = ra[k], rb[k]
+        ca, cb = r[k]
         if not (ca or cb):
             continue
-        for i in range(k):  # r = lc(g) * r, below the cancelled term
-            a, b = ra[i], rb[i]
-            bb = b * lb
-            ra[i], rb[i] = a * la - bb, a * lb + b * la - bb
-        for i, (ga, gb) in enumerate(g[:-1], k - n):  # r -= r_k * x^(k-n) * g
+        if lb:  # r = lc(g) * r, below the cancelled term
+            r[:k] = [(a * la - b * lb, a * lb + b * la - b * lb) for a, b in r[:k]]
+        elif la != 1:
+            r[:k] = [(a * la, b * la) for a, b in r[:k]]
+        s = k - n
+        for i, ga, gb in live:  # r -= r_k * x^(k-n) * g
+            a, b = r[s + i]
             bb = cb * gb
-            ra[i] -= ca * ga - bb
-            rb[i] -= ca * gb + cb * ga - bb
-    out = list(zip(ra[:n], rb[:n]))
+            r[s + i] = (a - ca * ga + bb, b - ca * gb - cb * ga + bb)
+    out = r[:n]
     while out and out[-1] == (0, 0):
         out.pop()
     return out
@@ -607,14 +622,31 @@ def value(f, root):
     return ya, yb
 
 
-def substitute(rows, root):
-    """sum_j rows[j](x/d) * y^j times d^n, for root = (a, b, d) as in
-    value and n the largest degree of the rows (polynomials in one
-    variable, [] for zero): a polynomial in y on ints."""
-    n = max(map(len, rows))
-    out = [value(r + [(0, 0)] * (n - len(r)), root) for r in rows]
-    while out and out[-1] == (0, 0):
-        out.pop()
+def substitute(tables, root):
+    """Each table (rows[j] polynomials in one variable, [] for zero) as
+    sum_j rows[j](x/d) * y^j times d^n, for root = (a, b, d) as in value
+    and n the largest degree of a row in any of the tables: a list of
+    polynomials in y on ints, entry j of each the value of rows[j] padded
+    to degree n.  The powers x^i * d^(n-i) are built once per call and
+    shared by every row of every table, and each row is a sum over its
+    nonzero entries."""
+    xa, xb, d = root
+    n = max(len(r) for t in tables for r in t) - 1
+    pw = [(a * d ** (n - i), b * d ** (n - i)) for i, (a, b) in enumerate(powers((xa, xb), n))]
+    out = []
+    for rows in tables:
+        ys = []
+        for r in rows:
+            ya = yb = 0
+            for (ca, cb), (ta, tb) in zip(r, pw):
+                if ca or cb:
+                    bb = cb * tb
+                    ya += ca * ta - bb
+                    yb += ca * tb + cb * ta - bb
+            ys.append((ya, yb))
+        while ys and ys[-1] == (0, 0):
+            ys.pop()
+        out.append(ys)
     return out
 
 

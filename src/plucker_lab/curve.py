@@ -75,6 +75,14 @@ class ProjectivePoint:
         inv = pivot.inverse()
         object.__setattr__(self, "coords", tuple(c * inv for c in cs))
 
+    @classmethod
+    def _raw(cls, coords: tuple) -> "ProjectivePoint":
+        """The point of three EisensteinScalars already normalized: the
+        first nonzero one is 1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coords", coords)
+        return self
+
     def __setattr__(self, name, value=None):
         raise AttributeError("ProjectivePoint is immutable")
 
@@ -260,7 +268,8 @@ def _affine_zeros(tables, names, notes, at=()):
     Z[rho] int pairs: the resultants of the subresultant PRS
     _zrho.resultant, the gcds of the primitive PRS _zrho.gcd and the
     roots of _zrho.solve, the root core of lambda_roots.  Each value is
-    substituted into the tables (_zrho.substitute) and the rest solved
+    substituted into all the tables at once (_zrho.substitute, one table
+    of root powers for all) and the rest solved
     the same way, on the one-row tables that are not zero; with no name
     left, () is a zero exactly when every table is zero, and a table that
     is a nonzero constant leaves no zero before any resultant is taken.
@@ -283,7 +292,7 @@ def _affine_zeros(tables, names, notes, at=()):
     zeros = []
     for x in _gcd_roots(cons, u, notes, at, more):
         if rest:
-            subs = [[s] for t in live if (s := _zrho.substitute(t, x))]
+            subs = [[s] for s in _zrho.substitute(live, x) if s]
             tails = _affine_zeros(subs, rest, notes, at + ((u, x),))
         else:
             tails = [()] if all(_zrho.value(t[0], x) == (0, 0) for t in live) else []
@@ -306,7 +315,9 @@ def projective_common_zeros(forms, variables):
     in the three named variables.
 
     Works through the disjoint charts x_k = 1, x_j = 0 for j < k
-    (k = 0, 1, 2), each by _affine_zeros on the chart tables.  Returns
+    (k = 0, 1, 2), each by _affine_zeros on the chart tables; a chart
+    zero is (0, .., 0, 1, z) with z normalized scalars, so its point is
+    built as it stands (ProjectivePoint._raw).  Returns
     (points, notes): a note for each factor that _zrho.solve leaves
     without roots, and one if a chart has a positive-dimensional solution
     set.
@@ -314,7 +325,7 @@ def projective_common_zeros(forms, variables):
     notes, points = [], []
     for k in range(3):
         zeros = _affine_zeros([_chart(f, k) for f in forms], variables[k + 1 :], notes)
-        points.extend(ProjectivePoint((ZERO,) * k + (ONE,) + z) for z in zeros)
+        points.extend(ProjectivePoint._raw((ZERO,) * k + (ONE,) + z) for z in zeros)
     return sorted(set(points), key=ProjectivePoint.sort_key), notes
 
 
@@ -348,32 +359,39 @@ def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
     binomials with every term of degree above order dropped.  It equals
     L * D^(d-n) times the degree-n part of F(x_i = 1, x_j = p_j + s,
     x_k = p_k + t): the same jets up to one nonzero factor per degree.
+    The binomials C(e, u) are tabled once per call, and each product of
+    shifts runs over their nonzero terms only.
     """
     i = next(idx for idx, v in enumerate(p.coords) if v)
     j, k = (idx for idx in range(3) if idx != i)
     ab, den = _zrho.clear((p.coords[j], p.coords[k]))
     d = c.degree
-    # shifts[e][u]: the coefficient C(e, u) * A^(e-u) of s^u in (A + s)^e
-    shifts = []
-    for x in ab:
-        pw = _zrho.powers(x, d)
-        shifts.append([
-            [(math.comb(e, u) * pw[e - u][0], math.comb(e, u) * pw[e - u][1])
-             for u in range(min(e, order) + 1)]
-            for e in range(d + 1)
-        ])
-    shift_s, shift_t = shifts
+    binom = [[math.comb(e, u) for u in range(min(e, order) + 1)] for e in range(d + 1)]
+    # shifts[e]: the (u, a, b) with a + b*rho = C(e, u) * A^(e-u) nonzero,
+    # the coefficient of s^u in (A + s)^e, u ascending
+    shift_s, shift_t = (
+        [
+            [(u, m * pw[e - u][0], m * pw[e - u][1]) for u, m in enumerate(row) if pw[e - u] != (0, 0)]
+            for e, row in enumerate(binom)
+        ]
+        for pw in (_zrho.powers(x, d) for x in ab)
+    )
+    den_pow = [den**e for e in range(d + 1)]
     out_a = [[0] * (n + 1) for n in range(order + 1)]
     out_b = [[0] * (n + 1) for n in range(order + 1)]
     for exp, (ca, cb) in c.form.items():
-        f = den ** exp[i]
-        base = (ca * f, cb * f)
-        for u, x in enumerate(shift_s[exp[j]]):
-            x = _zrho.mul(base, x)
-            for v, y in enumerate(shift_t[exp[k]][: order - u + 1]):
-                a, b = _zrho.mul(x, y)
-                out_a[u + v][u] += a
-                out_b[u + v][u] += b
+        f = den_pow[exp[i]]
+        ca, cb = ca * f, cb * f
+        tail = shift_t[exp[k]]
+        for u, sa, sb in shift_s[exp[j]]:
+            bb = cb * sb
+            xa, xb = ca * sa - bb, ca * sb + cb * sa - bb
+            for v, ta, tb in tail:
+                if u + v > order:
+                    break
+                bb = xb * tb
+                out_a[u + v][u] += xa * ta - bb
+                out_b[u + v][u] += xa * tb + xb * ta - bb
     return [list(zip(ra, rb)) for ra, rb in zip(out_a, out_b)]
 
 

@@ -41,6 +41,18 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+def _check_variables(variables) -> tuple:
+    """The variable names as a tuple; ValueError if one is reserved or
+    two are equal."""
+    variables = tuple(variables)
+    for v in variables:
+        if v in _RESERVED:
+            raise ValueError("variable name %r is reserved" % v)
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names")
+    return variables
+
+
 def _coerce_coeff(c) -> LambdaPoly:
     if isinstance(c, LambdaPoly):
         return c
@@ -96,12 +108,7 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms=None):
-        variables = tuple(variables)
-        for v in variables:
-            if v in _RESERVED:
-                raise ValueError("variable name %r is reserved" % v)
-        if len(set(variables)) != len(variables):
-            raise ValueError("duplicate variable names")
+        variables = _check_variables(variables)
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
@@ -420,7 +427,7 @@ class _Parser:
     the result once, at the end."""
 
     def __init__(self, text: str, variables):
-        self.vars = tuple(variables)
+        self.vars = _check_variables(variables)
         self.tokens = []
         for m in _TOKEN_RE.finditer(text):
             if m.group(2):
@@ -429,8 +436,7 @@ class _Parser:
         self.tokens.append((None, len(text)))
         self.i = 0
         self.zero = zero = (0,) * (len(self.vars) + 1)
-        units = reversed([*enumerate(self.vars)])  # the first of two equal names wins
-        self.units = {v: zero[:k] + (1,) + zero[k + 1 :] for k, v in units}
+        self.units = {v: zero[:k] + (1,) + zero[k + 1 :] for k, v in enumerate(self.vars)}
         self.units["lambda"] = zero[:-1] + (1,)
 
     def peek(self):
@@ -513,7 +519,9 @@ def parse_poly(text: str, variables) -> MultiPoly:
 
     Grammar: integers, `/` for rational constants, `rho`, `lambda`,
     declared variable names, `+ - * ^` and parentheses; whitespace is
-    insignificant.  Raises PolyParseError with a character offset.
+    insignificant.  Raises PolyParseError with a character offset, and
+    ValueError, as MultiPoly does, for a reserved or repeated variable
+    name.
     """
     parser = _Parser(text, variables)
     terms = {}

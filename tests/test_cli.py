@@ -277,6 +277,9 @@ def test_polynomial_usage_errors(command, tmp_path, capsys):
         (["--vars", "a,b", CUSPIDAL], "--vars needs 3 comma-separated names, got 'a,b'"),
         (["--file", missing], missing),
         (["--", "x0 +"], "cannot parse polynomial: "),
+        (["--vars", "a,a,c", "--", "a*c - a^2"], "duplicate variable names"),
+        (["--vars", "rho,b,c", "--", "b*c - rho^2"], "variable name 'rho' is reserved"),
+        (["--vars", "a,lambda,c", "--", "a*c"], "variable name 'lambda' is reserved"),
     ]:
         code, out, err = run(capsys, command + argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and message in err

@@ -120,6 +120,24 @@ def test_singular_locus_of_corpus():
         assert set(locus.points) == expect
 
 
+@pytest.mark.parametrize("name", sorted(corpus.CURVES) + ["2", "-7/8"])
+def test_chart_zeros_are_normalized_points(name):
+    # projective_common_zeros builds its points unchecked (ProjectivePoint._raw):
+    # each must be the point the constructor makes of its coordinates
+    if name in corpus.CURVES:
+        c = corpus.corpus_curve(name)
+    else:
+        c = PlaneCurve(bl2_sextic().specialize_lambda(parse_scalar(name)))
+    systems = [[g for g in _zrho.gradient(c.form) if g], [c.form, _zrho.hessian(c.form)]]
+    points = [p for forms in systems for p in curve.projective_common_zeros(forms, c.vars)[0]]
+    assert points or name == "conic"  # a smooth conic has no flex
+    for p in points:
+        assert all(isinstance(x, EisensteinScalar) for x in p.coords)
+        q = ProjectivePoint(p.coords)
+        assert q == p and hash(q) == hash(p)
+        assert [(x.an, x.bn, x.den) for x in q.coords] == [(x.an, x.bn, x.den) for x in p.coords]
+
+
 @pytest.mark.parametrize(
     "text", ["x0*x1*(x0 - x1)", "x0*x1*(x0 + x1)*(x0 - 2*x1)"]
 )

@@ -154,6 +154,21 @@ def test_reserved_variable_names_rejected():
         MultiPoly.zero(("lambda", "x"))
 
 
+@pytest.mark.parametrize(
+    "variables, message",
+    [
+        (("a", "a", "c"), "duplicate variable names"),
+        (("rho", "b", "c"), "variable name 'rho' is reserved"),
+        (("x", "lambda"), "variable name 'lambda' is reserved"),
+    ],
+)
+def test_parse_poly_checks_variable_names_as_multipoly_does(variables, message):
+    for build in (MultiPoly.zero, lambda vs: parse_poly("1", vs)):
+        with pytest.raises(ValueError) as info:
+            build(variables)
+        assert str(info.value) == message
+
+
 def test_render_parse_round_trip():
     rng = random.Random(201)
     for _ in range(120):
