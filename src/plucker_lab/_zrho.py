@@ -180,11 +180,12 @@ def resultant(p, q):
 # Binary forms: the jets
 
 
-def form_at(form, v):
-    """The binary form at (s, t) = v, v a pair of elements."""
+def form_at(form, pw):
+    """The binary form at (s, t) = v, given pw = (powers(s, k),
+    powers(t, k)) for some k >= its degree: a caller that evaluates
+    several forms at one v builds the powers once."""
     n = len(form) - 1
-    s_pow = powers(v[0], n)
-    t_pow = powers(v[1], n)
+    s_pow, t_pow = pw
     a = b = 0
     for u, cf in enumerate(form):
         x, y = mul(cf, mul(s_pow[u], t_pow[n - u]))

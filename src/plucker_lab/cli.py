@@ -9,7 +9,6 @@ failed result, 2 on usage errors.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -50,6 +49,7 @@ from .corpus import (
     report_as_text,
     run_main_theorem,
     run_special_case,
+    to_json,
 )
 
 
@@ -77,7 +77,7 @@ def _colorize_marks(text: str) -> str:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = to_json(payload) + "\n"
     else:
         out = _colorize_marks(text) + "\n"
     if args.out:
@@ -380,8 +380,6 @@ def _add_poly_flags(p) -> None:
     p.add_argument("poly", nargs="?", default=None, help="inline polynomial text")
     p.add_argument("--file", metavar="PATH", default=None, help="read the polynomial from a file")
     p.add_argument("--vars", metavar="A,B,C", default=None, help="variable names, default x0,x1,x2")
-    p.add_argument("--lambda", dest="lam", metavar="VALUE", default=None,
-                   help="specialize lambda to a rational before analyzing")
 
 
 @functools.cache
@@ -404,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = csub.add_parser(name)
         _add_poly_flags(p)
+        p.add_argument("--lambda", dest="lam", metavar="VALUE", default=None,
+                       help="specialize lambda to a rational before analyzing")
         _add_output_flags(p)
         p.set_defaults(fn=fn)
 
@@ -469,10 +469,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except PolyParseError as e:
-        print("error: %s (offset %d)" % (e, e.position), file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:  # a PolyParseError names its offset
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -9,8 +9,8 @@ check cites the acceptance criterion it implements.
 """
 
 import functools
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .scalars import (
     ONE,
@@ -100,8 +100,44 @@ class ScenarioReport:
         }
 
 
+def to_json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for
+    dicts with str keys, lists, tuples, str, int, bool and None; anything
+    else raises TypeError.  json writes through its pure-Python encoder
+    whenever indent is set; this writer joins strings instead, and quotes
+    strings and keys with the C function json calls (which raises the
+    TypeError for a key that is not a str)."""
+    return _json(obj, "\n")
+
+
+def _json(obj, newline):
+    """to_json at a level whose line break and indentation is newline."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + sep.join(body) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + sep.join([_json(v, inner) for v in obj]) + newline + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def report_as_json(report: ScenarioReport) -> str:
-    return json.dumps(report.as_dict(), indent=2, sort_keys=True)
+    return to_json(report.as_dict())
 
 
 def report_as_text(report: ScenarioReport) -> str:

@@ -15,6 +15,7 @@ incomplete or has an unclassified point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -348,6 +349,13 @@ def singular_locus(c: PlaneCurve) -> SingularLocus:
 # Jets are computed over Z[rho] with plain ints, in the format of _zrho.
 
 
+@functools.cache
+def _binomials(d: int, order: int):
+    """The rows C(e, 0..min(e, order)) for e = 0..d, built once per
+    (d, order) pair that occurs; read only."""
+    return tuple(tuple(math.comb(e, u) for u in range(min(e, order) + 1)) for e in range(d + 1))
+
+
 def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
     """The jets of degree 0..order of the curve at p, over Z[rho].
 
@@ -359,14 +367,14 @@ def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
     binomials with every term of degree above order dropped.  It equals
     L * D^(d-n) times the degree-n part of F(x_i = 1, x_j = p_j + s,
     x_k = p_k + t): the same jets up to one nonzero factor per degree.
-    The binomials C(e, u) are tabled once per call, and each product of
-    shifts runs over their nonzero terms only.
+    The binomials C(e, u) are tabled once per (d, order) by _binomials,
+    and each product of shifts runs over their nonzero terms only.
     """
     i = next(idx for idx, v in enumerate(p.coords) if v)
     j, k = (idx for idx in range(3) if idx != i)
     ab, den = _zrho.clear((p.coords[j], p.coords[k]))
     d = c.degree
-    binom = [[math.comb(e, u) for u in range(min(e, order) + 1)] for e in range(d + 1)]
+    binom = _binomials(d, order)
     # shifts[e]: the (u, a, b) with a + b*rho = C(e, u) * A^(e-u) nonzero,
     # the coefficient of s^u in (A + s)^e, u ascending
     shift_s, shift_t = (
@@ -409,16 +417,21 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
     """Decide node/cusp/tacnode/ordinary-m at p by jet inspection.
 
     Reads the Z[rho] jets of _taylor_jets; every test below is a zero
-    test invariant under their per-degree factors.  An m-fold point with
-    a squarefree m-jet is ordinary (for m = 2 a node: the discriminant
-    of the 2-jet is nonzero).  A double point with a repeated tangent is
-    put in coordinates (s, t) -> s*v + t*w, v along the tangent, where
-    the 2-jet is gamma*t^2: a nonzero s^3 coefficient J3(v) is a cusp,
-    otherwise a nonzero square-completed s^4 coefficient is a tacnode;
-    anything deeper is reported unclassified (delta is then a lower
-    bound), as is an m-fold point with m > 2 and a repeated tangent.
+    test invariant under their per-degree factors.  The jets are built to
+    order 3 first: nodes, cusps and ordinary triple points read nothing
+    above them.  An m-fold point with a squarefree m-jet is ordinary (for
+    m = 2 a node: the discriminant of the 2-jet is nonzero); at m >= 4
+    the jets are built once more, to order d.  A double point with a
+    repeated tangent is put in coordinates (s, t) -> s*v + t*w, v along
+    the tangent, where the 2-jet is gamma*t^2: a nonzero s^3 coefficient
+    J3(v) is a cusp, otherwise a nonzero square-completed s^4 coefficient
+    is a tacnode, read from the 4-jet, which only this branch builds.
+    The powers of v's coordinates are built once and shared by every
+    form_at call.  Anything deeper is reported unclassified (delta is
+    then a lower bound), as is an m-fold point with m > 2 and a repeated
+    tangent.
     """
-    for order in (4, c.degree):  # the second only at multiplicity >= 5
+    for order in (3, c.degree):  # the second only at multiplicity >= 4
         jets = _taylor_jets(c, p, order)
         live = (n for n, jet in enumerate(jets) if any(x != (0, 0) for x in jet))
         m = next(live, None)
@@ -443,7 +456,8 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
     bb, ac = _zrho.mul(b, b), _zrho.mul(a, c0)
     if (bb[0] - 4 * ac[0], bb[1] - 4 * ac[1]) != (0, 0):
         return SingularityRecord(p, 2, KIND_NODE, 1)
-    if a == (0, 0):
+    swap = a == (0, 0)
+    if swap:
         # the 2-jet is c0*t^2: swap s and t
         jets = [jet[::-1] for jet in jets]
         _, b, a = jets[2]
@@ -451,13 +465,15 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
     # and with w = (1, 0) the 2-jet becomes gamma*t^2 for gamma = a
     v = (b, (-2 * a[0], -2 * a[1]))
     gamma = a
-    if gamma == (0, 0) or _zrho.form_at(jets[2], v) != (0, 0):
+    pw = (_zrho.powers(v[0], 4), _zrho.powers(v[1], 4))
+    if gamma == (0, 0) or _zrho.form_at(jets[2], pw) != (0, 0):
         raise ArithmeticError("tangent alignment failed at %s" % p)
-    if _zrho.form_at(jets[3], v) != (0, 0):
+    if _zrho.form_at(jets[3], pw) != (0, 0):
         return SingularityRecord(p, 2, KIND_CUSP, 1)
     # the s^2*t coefficient d/dw J3(v), and the s^4 coefficient J4(v)
-    c3 = _zrho.form_at([(u * x, u * y) for u, (x, y) in enumerate(jets[3])][1:], v)
-    b4 = _zrho.form_at(jets[4], v)
+    c3 = _zrho.form_at([(u * x, u * y) for u, (x, y) in enumerate(jets[3])][1:], pw)
+    jet4 = _taylor_jets(c, p, 4)[4]
+    b4 = _zrho.form_at(jet4[::-1] if swap else jet4, pw)
     # complete the square in t: 4*gamma times the surviving s^4 coefficient
     g4, c3c3 = _zrho.mul(gamma, b4), _zrho.mul(c3, c3)
     if (4 * g4[0] - c3c3[0], 4 * g4[1] - c3c3[1]) != (0, 0):

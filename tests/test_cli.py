@@ -291,6 +291,29 @@ def test_curve_parse_error_exit_code(capsys):
     assert "offset" in err
 
 
+def test_parse_errors_name_their_offset_once(capsys):
+    for argv, line in [
+        (["--lambda", "1/0", "--", "x0^2 + x1^2 + x2^2"], "error: division by zero at offset 1\n"),
+        (["x0^^2"], "error: cannot parse polynomial: expected integer exponent at offset 3\n"),
+    ]:
+        assert run(capsys, ["curve", "analyze"] + argv) == (2, "", line)
+
+
+def test_only_the_curve_subcommands_take_lambda(capsys):
+    for command in (["curve", "analyze"], ["curve", "dual"], ["curve", "flexes"]):
+        code, out, _ = run(capsys, command + ["--lambda", "2", "--", "x0^2 + x1^2 - lambda*x2^2"])
+        assert code == 0 and out
+    # check-curve reads lambda as the variable of its obstruction
+    for argv in (["--lambda", "2", "--", "x0^3"], ["--lambda", "1/0", "--", "x0^3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["heisenberg", "check-curve"] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lambda" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["heisenberg", "check-curve", "--help"])
+    assert "--lambda" not in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # plucker commands
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -318,6 +319,76 @@ def test_classify_points_of_multiplicity_above_four(text, kind, mult, delta):
     # every jet up to degree 4 vanishes: the kernel expands to full degree
     rec = classify_singularity(_curve(text), ProjectivePoint((0, 0, 1)))
     assert (rec.kind, rec.multiplicity, rec.delta) == (kind, mult, delta)
+
+
+def _permuted_tacnodes(perm):
+    """TACNODAL under x_i -> x_perm[i], and its two tacnodes: (0 : 1 : 0)
+    and (0 : 0 : 1) move to the q with q[perm[i]] = p[i]."""
+    xs = [MultiPoly.variable(X_VARS, v) for v in X_VARS]
+    c = PlaneCurve(parse_poly(TACNODAL, X_VARS).substitute([xs[k] for k in perm]))
+    points = []
+    for p in [(0, 1, 0), (0, 0, 1)]:
+        q = [0] * 3
+        for i, k in enumerate(perm):
+            q[k] = p[i]
+        points.append(ProjectivePoint(q))
+    return c, points
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_tacnodes_under_coordinate_permutations(perm, monkeypatch):
+    c, points = _permuted_tacnodes(perm)
+    orders = []
+    real_jets = curve._taylor_jets
+
+    def counting(c, p, order):
+        orders.append(order)
+        return real_jets(c, p, order)
+
+    monkeypatch.setattr(curve, "_taylor_jets", counting)
+    for q in points:
+        rec = classify_singularity(c, q)
+        assert (rec.kind, rec.multiplicity, rec.delta) == (KIND_TACNODE, 2, 2)
+        assert rec.as_dict()["ade"] == "A3"
+    # the jets to order 3 first, then the 4-jet on the tacnode branch
+    assert orders == [3, 4, 3, 4]
+
+
+def test_tacnode_permutations_cover_both_tangent_branches():
+    # the 2-jet a*s^2 + ... and the 2-jet c0*t^2, which swaps s and t,
+    # both occur among the twelve permuted tacnodes
+    swapped = set()
+    for perm in itertools.permutations(range(3)):
+        c, points = _permuted_tacnodes(perm)
+        swapped.update(curve._taylor_jets(c, q, 2)[2][2] == (0, 0) for q in points)
+    assert swapped == {True, False}
+
+
+def test_lazy_four_jet_cases():
+    orders = []
+    real_jets = curve._taylor_jets
+
+    def counting(c, p, order):
+        orders.append(order)
+        return real_jets(c, p, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "_taylor_jets", counting)
+        # t^2 - s^5 at (0 : 0 : 1): an A4, beyond a tacnode
+        rec = classify_singularity(_curve("x1^2*x2^3 - x0^5"), ProjectivePoint((0, 0, 1)))
+        assert (rec.kind, rec.multiplicity, rec.delta) == (KIND_UNCLASSIFIED, 2, 2)
+        assert rec.note == "double point beyond a tacnode; delta is a lower bound"
+        assert orders == [3, 4]
+        orders.clear()
+        # s^4 - t^4 at (1 : 0 : 0): every jet to order 3 vanishes
+        rec = classify_singularity(_curve("x1^4 - x2^4"), ProjectivePoint((1, 0, 0)))
+        assert (rec.kind, rec.multiplicity, rec.delta) == (KIND_ORDINARY, 4, 6)
+        assert orders == [3, 4]
+        orders.clear()
+        # a cusp and a node read nothing above the 3-jet
+        classify_singularity(_curve(CUSPIDAL), ProjectivePoint((0, 0, 1)))
+        classify_singularity(_curve(NODAL), ProjectivePoint((0, 0, 1)))
+        assert orders == [3, 3]
 
 
 @pytest.mark.parametrize(

@@ -90,14 +90,17 @@ def test_division_exact_over_q_rho_but_not_z_rho_raises():
     assert _zrho.exact_div([(2, 0), (0, 2)], [(2, 0)]) == [(1, 0), (0, 1)]
 
 
-@given(st.lists(_pairs, min_size=1, max_size=5), _pairs, _pairs)
-def test_form_at(form, s, t):
+@given(st.lists(_pairs, min_size=1, max_size=5), _pairs, _pairs, st.integers(0, 2))
+def test_form_at(form, s, t, extra):
+    # the powers may run past the degree, as when one list serves forms
+    # of degrees 2 to 4
     n = len(form) - 1
     want = sum(
         (_scalar(c) * _scalar(s) ** u * _scalar(t) ** (n - u) for u, c in enumerate(form)),
         EisensteinScalar(0),
     )
-    assert _scalar(_zrho.form_at(form, (s, t))) == want
+    pw = (_zrho.powers(s, n + extra), _zrho.powers(t, n + extra))
+    assert _scalar(_zrho.form_at(form, pw)) == want
 
 
 # ---------------------------------------------------------------------------
