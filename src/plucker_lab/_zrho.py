@@ -26,7 +26,7 @@ row of every table over its nonzero entries only.
 """
 
 import math
-from itertools import chain
+from itertools import chain, zip_longest
 
 
 def clear(scalars):
@@ -202,17 +202,25 @@ def form_value(form, point):
     """The ternary form with polynomial coefficients (exponent -> dense
     polynomial in lambda) at the point whose three coordinates are
     polynomials in lambda (trailing zeros allowed, as every product here
-    drops them): a polynomial in lambda."""
-    pows = []
-    for i, y in enumerate(point):
-        ps = [[(1, 0)]]
-        for _ in range(max((e[i] for e in form), default=0)):
-            ps.append(cross(ps[-1], y, [], []))
-        pows.append(ps)
+    drops them): a polynomial in lambda, each coefficient times the sum of
+    its monomials, which skip the factors of exponent 0."""
+    pows = {}  # the powers of each distinct coordinate, to the form's top exponent
+    for y in map(tuple, point):
+        if y not in pows:
+            pows[y] = [[(1, 0)]]
+            for _ in range(max(map(max, form), default=0)):
+                pows[y].append(cross(pows[y][-1], y, [], []))
+    pows = [pows[tuple(y)] for y in point]
+    sums = {}
+    for e, c in form.items():
+        t = [(1, 0)]
+        for f in (ps[k] for ps, k in zip(pows, e) if k):
+            t = f if t == [(1, 0)] else cross(t, f, [], [])  # 1 * f = f
+        c = tuple(c)
+        sums[c] = [(a + x, b + y) for (a, b), (x, y) in zip_longest(sums.get(c, ()), t, fillvalue=(0, 0))]
     out = []
-    for (e0, e1, e2), c in form.items():
-        t = cross(cross(c, pows[0][e0], [], []), cross(pows[1][e1], pows[2][e2], [], []), [], [])
-        out = cross(out, [(1, 0)], [(-1, 0)], t)  # out + t
+    for c, t in sums.items():
+        out = cross(out, [(1, 0)], [(-1, 0)], t if c == ((1, 0),) else cross(c, t, [], []))  # out + c * t
     return out
 
 

@@ -382,82 +382,88 @@ def _add_poly_flags(p) -> None:
     p.add_argument("--vars", metavar="A,B,C", default=None, help="variable names, default x0,x1,x2")
 
 
+def _add_commands(group: str, sub) -> None:
+    """Add the subcommands of a command group to its subparsers action."""
+    if group == "curve":
+        for name, fn in (("analyze", _cmd_curve_analyze), ("dual", _cmd_curve_dual), ("flexes", _cmd_curve_flexes)):
+            p = sub.add_parser(name)
+            _add_poly_flags(p)
+            p.add_argument("--lambda", dest="lam", metavar="VALUE", default=None,
+                           help="specialize lambda to a rational before analyzing")
+            _add_output_flags(p)
+            p.set_defaults(fn=fn)
+    elif group == "plucker":
+        p = sub.add_parser("solve", help="solve for nodes and cusps from degree, genus, class")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_plucker_solve)
+        p = sub.add_parser("dual", help="derive class, flexes, bitangents, genus")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--nodes", type=int, required=True)
+        p.add_argument("--cusps", type=int, required=True)
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_plucker_dual)
+    elif group == "heisenberg":
+        p = sub.add_parser("group")
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_heisenberg_group)
+        p = sub.add_parser("orbit")
+        p.add_argument("point", help="point as a:b:c")
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_heisenberg_orbit)
+        p = sub.add_parser("fixed")
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_heisenberg_fixed)
+        p = sub.add_parser("check-curve", help="order-3 orbit obstruction polynomials")
+        _add_poly_flags(p)
+        p.add_argument("--quadratic-map", action="store_true",
+                       help="compose a y-variable curve with the quadratic map first")
+        def no_lambda(text):
+            raise argparse.ArgumentTypeError("check-curve takes none (its obstruction is a polynomial in lambda)")
+        p.add_argument("--lambda", nargs="?", const="", type=no_lambda, help=argparse.SUPPRESS)
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_heisenberg_check)
+    elif group == "chow":
+        p = sub.add_parser("report")
+        p.add_argument("--d", type=int, required=True)
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_chow_report)
+    else:
+        p = sub.add_parser("special")
+        p.add_argument("--lambda", dest="lam", metavar="VALUE", required=True)
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_scenario_special)
+        p = sub.add_parser("main")
+        _add_output_flags(p)
+        p.set_defaults(fn=_cmd_scenario_main)
+
+
+class _Group(argparse.ArgumentParser):
+    """A command group, whose subcommands are added when it first parses."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if getattr(self, "group", None):
+            _add_commands(self.group, self.add_subparsers(dest="subcommand", required=True))
+            self.group = None
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process: parse_args keeps
-    no state between calls, so every main call reuses it."""
+    """The parser, built once per process and reused by main (parse_args
+    keeps no state); a command group adds its subcommands when first used."""
     ap = argparse.ArgumentParser(
         prog="plucker-lab",
         description="exact plane-curve invariants, projective symmetries and branch-curve arithmetic",
     )
     ap.add_argument("--version", action="version", version="plucker-lab %s" % __version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    curve = sub.add_parser("curve", help="plane curve analysis")
-    csub = curve.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (
-        ("analyze", _cmd_curve_analyze),
-        ("dual", _cmd_curve_dual),
-        ("flexes", _cmd_curve_flexes),
-    ):
-        p = csub.add_parser(name)
-        _add_poly_flags(p)
-        p.add_argument("--lambda", dest="lam", metavar="VALUE", default=None,
-                       help="specialize lambda to a rational before analyzing")
-        _add_output_flags(p)
-        p.set_defaults(fn=fn)
-
-    plucker = sub.add_parser("plucker", help="degree/class/genus arithmetic")
-    psub = plucker.add_subparsers(dest="subcommand", required=True)
-    p = psub.add_parser("solve", help="solve for nodes and cusps from degree, genus, class")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_plucker_solve)
-    p = psub.add_parser("dual", help="derive class, flexes, bitangents, genus")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--cusps", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_plucker_dual)
-
-    heis = sub.add_parser("heisenberg", help="projective symmetry group")
-    hsub = heis.add_subparsers(dest="subcommand", required=True)
-    p = hsub.add_parser("group")
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_heisenberg_group)
-    p = hsub.add_parser("orbit")
-    p.add_argument("point", help="point as a:b:c")
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_heisenberg_orbit)
-    p = hsub.add_parser("fixed")
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_heisenberg_fixed)
-    p = hsub.add_parser("check-curve", help="order-3 orbit obstruction polynomials")
-    _add_poly_flags(p)
-    p.add_argument("--quadratic-map", action="store_true",
-                   help="compose a y-variable curve with the quadratic map first")
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_heisenberg_check)
-
-    chow = sub.add_parser("chow", help="intersection-ring numerology")
-    chsub = chow.add_subparsers(dest="subcommand", required=True)
-    p = chsub.add_parser("report")
-    p.add_argument("--d", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_chow_report)
-
-    scen = sub.add_parser("scenario", help="end-to-end scenario runners")
-    ssub = scen.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("special")
-    p.add_argument("--lambda", dest="lam", metavar="VALUE", required=True)
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_scenario_special)
-    p = ssub.add_parser("main")
-    _add_output_flags(p)
-    p.set_defaults(fn=_cmd_scenario_main)
-
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Group)
+    for group, text in (("curve", "plane curve analysis"), ("plucker", "degree/class/genus arithmetic"),
+                        ("heisenberg", "projective symmetry group"), ("chow", "intersection-ring numerology"),
+                        ("scenario", "end-to-end scenario runners")):
+        sub.add_parser(group, help=text).group = group
     return ap
 
 

@@ -12,15 +12,17 @@ import functools
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+from . import _zrho
 from .scalars import (
     ONE,
     RHO,
     EisensteinScalar,
+    LambdaPoly,
     lambda_roots,
     render_lambda_poly,
     scalar_sort_key,
 )
-from .polynomials import X_VARS, bl2_sextic, parse_scalar, render_poly
+from .polynomials import X_VARS, MultiPoly, bl2_sextic, parse_scalar, render_poly
 from .curve import (
     KIND_CUSP,
     PlaneCurve,
@@ -33,7 +35,7 @@ from .chow import (
     multiplicity_bound,
     pencil_singular_count,
 )
-from .heisenberg import ORDER3_ORBIT_REPRESENTATIVES, curve_orbit_obstruction
+from .heisenberg import ORDER3_ORBIT_REPRESENTATIVES, curve_orbit_obstruction, lambda_form
 
 
 CURVES = {
@@ -172,24 +174,34 @@ _EXCLUDED_LAMBDAS = (ONE, RHO, RHO * RHO)
 
 
 @functools.cache
-def _family_sextic():
-    """bl2_sextic(), built once per process and never modified."""
-    return bl2_sextic()
+def _family():
+    """bl2_sextic() and its lambda_form, built once per process, read only."""
+    sextic = bl2_sextic()
+    return sextic, lambda_form(sextic)
+
+
+def _special_sextic(lam: EisensteinScalar) -> PlaneCurve:
+    """PlaneCurve(bl2_sextic().specialize_lambda(lam)), evaluated from _family() on int pairs."""
+    sextic, (form, den) = _family()
+    values = _zrho.substitute((form.values(),), (lam.an, lam.bn, lam.den))[0]
+    m = den * lam.den ** (max(map(len, form.values())) - 1)  # the values' common denominator
+    terms = {e: LambdaPoly._raw((EisensteinScalar._raw(a, b, m),)) for e, (a, b) in zip(form, values) if a or b}
+    return PlaneCurve(MultiPoly._raw(sextic.vars, terms))
 
 
 @functools.cache
 def _family_obstructions():
     """The sextic family's order-3 orbit obstructions, which do not depend
     on lambda, computed once per process: a (representative text,
-    obstruction, obstruction text) triple per orbit and the sorted texts
-    of the exceptional lambdas, which an incomplete root search leaves
-    unproven: it raises RuntimeError."""
-    obstructions = curve_orbit_obstruction(_family_sextic(), use_quadratic_map=True)
+    obstruction on int pairs, obstruction text) triple per orbit and the
+    sorted texts of the exceptional lambdas, which an incomplete root
+    search leaves unproven: it raises RuntimeError."""
+    obstructions = curve_orbit_obstruction(_family()[0], use_quadratic_map=True)
     rows = []
     exceptional = set()
     for rep in ORDER3_ORBIT_REPRESENTATIVES:
         ob = obstructions[rep]
-        rows.append((str(rep), ob, render_lambda_poly(ob)))
+        rows.append((str(rep), _zrho.clear(ob.coeffs)[0], render_lambda_poly(ob)))
         if ob.is_zero():
             continue
         search = lambda_roots(ob)
@@ -226,18 +238,17 @@ def run_special_case(lambda_value) -> ScenarioReport:
     report.check(
         "orbit-obstructions-nonzero",
         "acceptance 6",
-        all(not ob.is_zero() for _, ob, _ in obstructions),
+        all(ob for _, ob, _ in obstructions),
         "each order-3 orbit carries a nonzero lambda obstruction",
     )
-    at_lam = [ob.evaluate(lam) for _, ob, _ in obstructions]
     report.check(
         "orbits-excluded-at-lambda",
         "acceptance 6",
-        all(bool(v) for v in at_lam),
+        all(ob and any(_zrho.value(ob, (lam.an, lam.bn, lam.den))) for _, ob, _ in obstructions),
         "no order-3 orbit lies on the sextic at lambda = %s" % lam,
     )
 
-    sextic = PlaneCurve(_family_sextic().specialize_lambda(lam))
+    sextic = _special_sextic(lam)
     report.computed["sextic"] = render_poly(sextic.equation)
     report.computed["sextic_degree"] = sextic.degree
 

@@ -356,8 +356,8 @@ def _binomials(d: int, order: int):
     return tuple(tuple(math.comb(e, u) for u in range(min(e, order) + 1)) for e in range(d + 1))
 
 
-def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
-    """The jets of degree 0..order of the curve at p, over Z[rho].
+def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int, low: int = 0):
+    """The jets of degree 0..order of the curve at p, over Z[rho] ([] below low).
 
     Let i be the index of p's first nonzero coordinate and j < k the
     other two.  Write p = (D : A : B) in the order (i, j, k), with D the
@@ -385,8 +385,8 @@ def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
         for pw in (_zrho.powers(x, d) for x in ab)
     )
     den_pow = [den**e for e in range(d + 1)]
-    out_a = [[0] * (n + 1) for n in range(order + 1)]
-    out_b = [[0] * (n + 1) for n in range(order + 1)]
+    out_a = [[0] * (n + 1) if n >= low else [] for n in range(order + 1)]
+    out_b = [[0] * (n + 1) if n >= low else [] for n in range(order + 1)]
     for exp, (ca, cb) in c.form.items():
         f = den_pow[exp[i]]
         ca, cb = ca * f, cb * f
@@ -394,7 +394,7 @@ def _taylor_jets(c: PlaneCurve, p: ProjectivePoint, order: int):
         for u, sa, sb in shift_s[exp[j]]:
             bb = cb * sb
             xa, xb = ca * sa - bb, ca * sb + cb * sa - bb
-            for v, ta, tb in tail:
+            for v, ta, tb in (tail if u >= low else [t for t in tail if u + t[0] >= low]):
                 if u + v > order:
                     break
                 bb = xb * tb
@@ -425,7 +425,7 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
     repeated tangent is put in coordinates (s, t) -> s*v + t*w, v along
     the tangent, where the 2-jet is gamma*t^2: a nonzero s^3 coefficient
     J3(v) is a cusp, otherwise a nonzero square-completed s^4 coefficient
-    is a tacnode, read from the 4-jet, which only this branch builds.
+    is a tacnode, read from the 4-jet alone, which only this branch builds.
     The powers of v's coordinates are built once and shared by every
     form_at call.  Anything deeper is reported unclassified (delta is
     then a lower bound), as is an m-fold point with m > 2 and a repeated
@@ -472,7 +472,7 @@ def classify_singularity(c: PlaneCurve, p: ProjectivePoint) -> SingularityRecord
         return SingularityRecord(p, 2, KIND_CUSP, 1)
     # the s^2*t coefficient d/dw J3(v), and the s^4 coefficient J4(v)
     c3 = _zrho.form_at([(u * x, u * y) for u, (x, y) in enumerate(jets[3])][1:], pw)
-    jet4 = _taylor_jets(c, p, 4)[4]
+    jet4 = _taylor_jets(c, p, 4, 4)[4]
     b4 = _zrho.form_at(jet4[::-1] if swap else jet4, pw)
     # complete the square in t: 4*gamma times the surviving s^4 coefficient
     g4, c3c3 = _zrho.mul(gamma, b4), _zrho.mul(c3, c3)

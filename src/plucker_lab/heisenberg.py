@@ -41,7 +41,7 @@ class ProjectiveTransform:
     scalar factor.  The stored representative has its first nonzero entry
     (row major) equal to 1, so == and hash agree with projective equality."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "pairs")  # pairs: the 9 entries cleared over Z[rho], row major
 
     def __init__(self, rows):
         rs = []
@@ -63,6 +63,7 @@ class ProjectiveTransform:
         if not det3(rs):
             raise ValueError("transform matrix is singular")
         object.__setattr__(self, "rows", rs)
+        object.__setattr__(self, "pairs", _zrho.clear([c for row in rs for c in row])[0])
 
     def __setattr__(self, name, value=None):
         raise AttributeError("ProjectiveTransform is immutable")
@@ -74,7 +75,7 @@ class ProjectiveTransform:
 
     @classmethod
     def identity(cls) -> "ProjectiveTransform":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return cls(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)))
 
     def __eq__(self, other):
         if not isinstance(other, ProjectiveTransform):
@@ -113,10 +114,21 @@ class ProjectiveTransform:
         return n
 
     def apply(self, p) -> ProjectivePoint:
-        """Image of a projective point under the transform."""
+        """Image of a projective point under the transform, on cleared int
+        pairs, divided once by its first nonzero coordinate."""
         if not isinstance(p, ProjectivePoint):
             p = ProjectivePoint(p)
-        return ProjectivePoint([dot(row, p.coords) for row in self.rows])
+        x = _zrho.clear(p.coords)[0]
+        y = []
+        for i in (0, 3, 6):
+            a = b = 0
+            for (ra, rb), (xa, xb) in zip(self.pairs[i:i + 3], x):
+                bb = rb * xb
+                a, b = a + ra * xa - bb, b + ra * xb + rb * xa - bb
+            y.append((a, b))
+        a, b = next(v for v in y if v != (0, 0))
+        n = _zrho.norm((a, b))
+        return ProjectivePoint._raw(tuple(EisensteinScalar._raw(*_zrho.mul(v, (a - b, -b)), n) for v in y))
 
     def act_on_poly(self, c: MultiPoly) -> MultiPoly:
         """Transformed curve: substitutes the inverse transform's linear
@@ -140,19 +152,19 @@ class ProjectiveTransform:
 
 def sigma() -> ProjectiveTransform:
     """Cyclic coordinate shift (x0:x1:x2) -> (x1:x2:x0)."""
-    return ProjectiveTransform(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    return ProjectiveTransform(((ZERO, ONE, ZERO), (ZERO, ZERO, ONE), (ONE, ZERO, ZERO)))
 
 
 def tau() -> ProjectiveTransform:
     """Diagonal twist by cube roots of unity diag(1, rho, rho^2)."""
     return ProjectiveTransform(
-        ((1, 0, 0), (0, RHO, 0), (0, 0, RHO * RHO))
+        ((ONE, ZERO, ZERO), (ZERO, RHO, ZERO), (ZERO, ZERO, RHO * RHO))
     )
 
 
 def iota() -> ProjectiveTransform:
     """Coordinate swap (x0:x1:x2) -> (x0:x2:x1)."""
-    return ProjectiveTransform(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    return ProjectiveTransform(((ONE, ZERO, ZERO), (ZERO, ZERO, ONE), (ZERO, ONE, ZERO)))
 
 
 @functools.cache
@@ -255,19 +267,20 @@ def fixed_locus() -> FixedLocus:
 
 
 ORDER3_ORBIT_REPRESENTATIVES = (
-    ProjectivePoint((1, 0, 0)),
-    ProjectivePoint((1, 1, 1)),
+    ProjectivePoint((ONE, ZERO, ZERO)),
+    ProjectivePoint((ONE, ONE, ONE)),
     ProjectivePoint((ONE, ONE, RHO)),
     ProjectivePoint((ONE, ONE, RHO * RHO)),
 )
 
 
-def _lambda_form(c: MultiPoly) -> dict:
-    """c cleared over Z[rho]: exponent -> its coefficient as an int-pair
-    polynomial in lambda, lowest power first, every scalar over one lcm
-    denominator, which is dropped."""
-    pairs = iter(_zrho.clear([x for f in c.terms.values() for x in f.coeffs])[0])
-    return {e: [next(pairs) for _ in f.coeffs] for e, f in c.terms.items()}
+def lambda_form(c: MultiPoly):
+    """c cleared over Z[rho]: (form, den), form mapping each exponent to
+    its coefficient as an int-pair polynomial in lambda, lowest power
+    first, and den the lcm of the denominators of every scalar."""
+    pairs, den = _zrho.clear([x for f in c.terms.values() for x in f.coeffs])
+    pairs = iter(pairs)
+    return {e: [next(pairs) for _ in f.coeffs] for e, f in c.terms.items()}, den
 
 
 def _coordinates(p: ProjectivePoint, use_quadratic_map: bool) -> list:
@@ -303,7 +316,7 @@ def curve_orbit_obstruction(c: MultiPoly, use_quadratic_map: bool = False) -> di
         raise ValueError("expected a curve in 3 variables")
     if not c.is_homogeneous():
         raise ValueError("the orbit test needs a homogeneous curve")
-    form = _lambda_form(c)
+    form = lambda_form(c)[0]
     out = {}
     for rep in ORDER3_ORBIT_REPRESENTATIVES:
         g = []

@@ -740,16 +740,15 @@ def bl2_sextic() -> MultiPoly:
     (y0^6+y1^6+y2^6) + 2(2 lambda^3 - 1)(y0^3 y1^3 + y0^3 y2^3 + y1^3 y2^3)
     - 6 lambda^2 y0 y1 y2 (y0^3+y1^3+y2^3) - 3 lambda (lambda^3 - 4)
     y0^2 y1^2 y2^2.  See SEXTIC_NOTE for the reading of the third term.
+    Built from its 10 terms: each coefficient, lowest power of lambda
+    first, with the exponents that carry it.
     """
-    y0 = MultiPoly.variable(Y_VARS, "y0")
-    y1 = MultiPoly.variable(Y_VARS, "y1")
-    y2 = MultiPoly.variable(Y_VARS, "y2")
-    lam = LAMBDA
-    two_lam3_minus = (lam**3).scale(EisensteinScalar(4)) - LambdaPoly((2,))
-    six_lam2 = (lam**2).scale(EisensteinScalar(6))
-    tail = (lam**4 - lam.scale(EisensteinScalar(4))).scale(EisensteinScalar(3))
-    p = y0**6 + y1**6 + y2**6
-    p = p + (y0**3 * y1**3 + y0**3 * y2**3 + y1**3 * y2**3).scale(two_lam3_minus)
-    p = p - (y0 * y1 * y2 * (y0**3 + y1**3 + y2**3)).scale(six_lam2)
-    p = p - (y0**2 * y1**2 * y2**2).scale(tail)
-    return p
+    terms = {}
+    for coeffs, exponents in (
+        ((1,), ((6, 0, 0), (0, 6, 0), (0, 0, 6))),
+        ((-2, 0, 0, 4), ((3, 3, 0), (3, 0, 3), (0, 3, 3))),
+        ((0, 0, -6), ((4, 1, 1), (1, 4, 1), (1, 1, 4))),
+        ((0, 12, 0, 0, -3), ((2, 2, 2),)),
+    ):
+        terms.update(dict.fromkeys(exponents, LambdaPoly._raw(EisensteinScalar._raw(c, 0, 1) for c in coeffs)))
+    return MultiPoly._raw(Y_VARS, terms)

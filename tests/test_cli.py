@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -62,6 +63,82 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
     assert reused[5][1] == "" and reused[6][1] != ""
     assert (tmp_path / "reused.txt").read_text() == (tmp_path / "fresh.txt").read_text()
     assert (tmp_path / "reused.txt").read_text() == reused[6][1]
+
+
+GROUPS = {
+    "curve": ["analyze", "dual", "flexes"],
+    "plucker": ["solve", "dual"],
+    "heisenberg": ["group", "orbit", "fixed", "check-curve"],
+    "chow": ["report"],
+    "scenario": ["special", "main"],
+}
+
+
+def _groups(ap):
+    """The command group parsers of ap, by name."""
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _fully_built_parser():
+    """A fresh parser with every group's subcommands added up front."""
+    ap = build_parser.__wrapped__()
+    for name, group in _groups(ap).items():
+        cli._add_commands(name, group.add_subparsers(dest="subcommand", required=True))
+        group.group = None
+    return ap
+
+
+def _exit_output(capsys, ap, argv):
+    with pytest.raises(SystemExit) as exc:
+        ap.parse_args(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+def test_help_matches_a_fully_built_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert {name: list(_groups(_fully_built_parser())[name]._actions[-1].choices) for name in GROUPS} == GROUPS
+    helps = [["--help"]] + [[g, "--help"] for g in GROUPS]
+    helps += [[g, s, "--help"] for g, subs in GROUPS.items() for s in subs]
+    for argv in helps:
+        lazy = _exit_output(capsys, build_parser.__wrapped__(), argv)
+        assert lazy == _exit_output(capsys, _fully_built_parser(), argv)
+        assert lazy[0] == 0 and lazy[1].out.startswith("usage: plucker-lab")
+
+
+def test_unknown_group_and_subcommand_errors(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = {
+        ("bogus",): "usage: plucker-lab [-h] [--version]\n"
+        "                   {curve,plucker,heisenberg,chow,scenario} ...\n"
+        "plucker-lab: error: argument command: invalid choice: 'bogus' (choose from "
+        "'curve', 'plucker', 'heisenberg', 'chow', 'scenario')\n",
+        ("curve", "bogus"): "usage: plucker-lab curve [-h] {analyze,dual,flexes} ...\n"
+        "plucker-lab curve: error: argument subcommand: invalid choice: 'bogus' "
+        "(choose from 'analyze', 'dual', 'flexes')\n",
+        ("scenario",): "usage: plucker-lab scenario [-h] {special,main} ...\n"
+        "plucker-lab scenario: error: the following arguments are required: subcommand\n",
+    }
+    for argv, err in cases.items():
+        for ap in (build_parser.__wrapped__(), _fully_built_parser()):
+            assert _exit_output(capsys, ap, list(argv)) == (2, ("", err))
+
+
+def test_a_call_builds_only_the_group_it_names(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert main(["scenario", "special", "--lambda=2"]) == 0
+    groups = ["plucker-lab " + g for g in GROUPS]
+    assert built == ["plucker-lab"] + groups + ["plucker-lab scenario special", "plucker-lab scenario main"]
+    built.clear()
+    _fully_built_parser()
+    assert len(built) == 1 + len(GROUPS) + sum(map(len, GROUPS.values())) == 18
 
 
 def test_version_flag(capsys):
@@ -299,16 +376,34 @@ def test_parse_errors_name_their_offset_once(capsys):
         assert run(capsys, ["curve", "analyze"] + argv) == (2, "", line)
 
 
-def test_only_the_curve_subcommands_take_lambda(capsys):
+def test_only_the_curve_subcommands_take_lambda(capsys, monkeypatch):
     for command in (["curve", "analyze"], ["curve", "dual"], ["curve", "flexes"]):
         code, out, _ = run(capsys, command + ["--lambda", "2", "--", "x0^2 + x1^2 - lambda*x2^2"])
         assert code == 0 and out
-    # check-curve reads lambda as the variable of its obstruction
-    for argv in (["--lambda", "2", "--", "x0^3"], ["--lambda", "1/0", "--", "x0^3"]):
+    # check-curve reads lambda as the variable of its obstruction: the
+    # error names --lambda, whatever follows it
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = (
+        "usage: plucker-lab heisenberg check-curve [-h] [--file PATH] [--vars A,B,C]\n"
+        "                                          [--quadratic-map]\n"
+        "                                          [--format {json,text}] [--out PATH]\n"
+        "                                          [poly]\n"
+    )
+    error = (
+        "plucker-lab heisenberg check-curve: error: argument --lambda: check-curve "
+        "takes none (its obstruction is a polynomial in lambda)\n"
+    )
+    for argv in (
+        ["--lambda", "2", "--", "x0^3"],
+        ["--lambda", "1/0", "--", "x0^3"],
+        ["--lambda", "2", "x0^3"],
+        ["x0^3", "--lambda"],
+        ["--lambda=2", "x0^3"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["heisenberg", "check-curve"] + argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --lambda" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", usage + error)
     with pytest.raises(SystemExit):
         main(["heisenberg", "check-curve", "--help"])
     assert "--lambda" not in capsys.readouterr().out

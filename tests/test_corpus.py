@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from plucker_lab import corpus
+from plucker_lab import _zrho, corpus
+from plucker_lab.curve import PlaneCurve
+from plucker_lab.heisenberg import curve_orbit_obstruction
 from plucker_lab.scalars import RHO, EisensteinScalar, LambdaPoly, RootSearch, scalar_sort_key
-from plucker_lab.polynomials import parse_scalar
+from plucker_lab.polynomials import bl2_sextic, parse_scalar
 from plucker_lab.corpus import (
     CURVES,
     ScenarioReport,
@@ -184,6 +186,51 @@ def test_special_case_sweeps_every_admissible_lambda():
         assert report.computed["singular_locus_complete"] is True, lam
         points = report.computed["singularities"]
         assert [s["ade"] for s in points] == ["A2"] * 9, lam
+
+
+def _fields(c):
+    """A PlaneCurve's fields in order, every scalar as its normalized ints."""
+    terms = [(e, [(s.an, s.bn, s.den) for s in f.coeffs]) for e, f in c.equation.terms.items()]
+    return c.equation.vars, terms, c.degree, list(c.form.items())
+
+
+def test_special_sextic_matches_the_object_path():
+    lams = admissible_lambdas()
+    assert len(lams) == 128
+    for lam in lams:
+        got = corpus._special_sextic(lam)
+        want = PlaneCurve(bl2_sextic().specialize_lambda(lam))
+        assert type(got) is PlaneCurve and got.equation == want.equation
+        assert _fields(got) == _fields(want), lam
+    # the excluded values too: the curve does not depend on the exclusion
+    for lam in (EisensteinScalar(1), RHO, RHO * RHO, EisensteinScalar(0)):
+        assert _fields(corpus._special_sextic(lam)) == _fields(
+            PlaneCurve(bl2_sextic().specialize_lambda(lam))
+        )
+
+
+def test_obstruction_values_at_lambda_match_the_object_path():
+    rows, _ = corpus._family_obstructions()
+    obstructions = curve_orbit_obstruction(bl2_sextic(), use_quadratic_map=True)
+    assert [ob for _, ob, _ in rows] == [_zrho.clear(ob.coeffs)[0] for ob in obstructions.values()]
+    for lam in admissible_lambdas() + [EisensteinScalar(1), RHO, RHO * RHO]:
+        for (_, pairs, _), ob in zip(rows, obstructions.values()):
+            assert any(_zrho.value(pairs, (lam.an, lam.bn, lam.den))) == bool(ob.evaluate(lam)), lam
+
+
+def test_the_exclusion_check_reads_the_obstructions_at_lambda(monkeypatch):
+    rows, texts = corpus._family_obstructions()
+
+    def with_first(pairs):
+        monkeypatch.setattr(corpus, "_family_obstructions", lambda: (((rows[0][0], pairs, "p"),) + rows[1:], texts))
+        return {c["name"]: c["passed"] for c in run_special_case(2).checks}
+
+    # lambda - 2 vanishes at 2 only; 2*lambda - 3 nowhere admissible here
+    assert with_first([(-2, 0), (1, 0)])["orbits-excluded-at-lambda"] is False
+    assert with_first([(-3, 0), (2, 0)])["orbits-excluded-at-lambda"] is True
+    # an identically zero obstruction fails both checks
+    checks = with_first([])
+    assert checks["orbit-obstructions-nonzero"] is False and checks["orbits-excluded-at-lambda"] is False
 
 
 def test_special_case_rejects_degenerate_lambdas():

@@ -341,17 +341,17 @@ def test_tacnodes_under_coordinate_permutations(perm, monkeypatch):
     orders = []
     real_jets = curve._taylor_jets
 
-    def counting(c, p, order):
-        orders.append(order)
-        return real_jets(c, p, order)
+    def counting(c, p, order, low=0):
+        orders.append((order, low))
+        return real_jets(c, p, order, low)
 
     monkeypatch.setattr(curve, "_taylor_jets", counting)
     for q in points:
         rec = classify_singularity(c, q)
         assert (rec.kind, rec.multiplicity, rec.delta) == (KIND_TACNODE, 2, 2)
         assert rec.as_dict()["ade"] == "A3"
-    # the jets to order 3 first, then the 4-jet on the tacnode branch
-    assert orders == [3, 4, 3, 4]
+    # the jets to order 3 first, then the 4-jet alone on the tacnode branch
+    assert orders == [(3, 0), (4, 4), (3, 0), (4, 4)]
 
 
 def test_tacnode_permutations_cover_both_tangent_branches():
@@ -368,9 +368,9 @@ def test_lazy_four_jet_cases():
     orders = []
     real_jets = curve._taylor_jets
 
-    def counting(c, p, order):
-        orders.append(order)
-        return real_jets(c, p, order)
+    def counting(c, p, order, low=0):
+        orders.append((order, low))
+        return real_jets(c, p, order, low)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curve, "_taylor_jets", counting)
@@ -378,17 +378,43 @@ def test_lazy_four_jet_cases():
         rec = classify_singularity(_curve("x1^2*x2^3 - x0^5"), ProjectivePoint((0, 0, 1)))
         assert (rec.kind, rec.multiplicity, rec.delta) == (KIND_UNCLASSIFIED, 2, 2)
         assert rec.note == "double point beyond a tacnode; delta is a lower bound"
-        assert orders == [3, 4]
+        assert orders == [(3, 0), (4, 4)]
         orders.clear()
         # s^4 - t^4 at (1 : 0 : 0): every jet to order 3 vanishes
         rec = classify_singularity(_curve("x1^4 - x2^4"), ProjectivePoint((1, 0, 0)))
         assert (rec.kind, rec.multiplicity, rec.delta) == (KIND_ORDINARY, 4, 6)
-        assert orders == [3, 4]
+        assert orders == [(3, 0), (4, 0)]
         orders.clear()
         # a cusp and a node read nothing above the 3-jet
         classify_singularity(_curve(CUSPIDAL), ProjectivePoint((0, 0, 1)))
         classify_singularity(_curve(NODAL), ProjectivePoint((0, 0, 1)))
-        assert orders == [3, 3]
+        assert orders == [(3, 0), (3, 0)]
+
+
+def test_tacnode_branch_builds_only_the_four_jet(monkeypatch):
+    # the second pass leaves jets 0-3 unbuilt and its 4-jet is the full one
+    calls = []
+    real_jets = curve._taylor_jets
+
+    def spying(c, p, order, low=0):
+        jets = real_jets(c, p, order, low)
+        calls.append((c, p, order, low, jets))
+        return jets
+
+    monkeypatch.setattr(curve, "_taylor_jets", spying)
+    for perm in itertools.permutations(range(3)):
+        c, points = _permuted_tacnodes(perm)
+        for q in points:
+            calls.clear()
+            assert classify_singularity(c, q).kind == KIND_TACNODE
+            assert [call[2:4] for call in calls] == [(3, 0), (4, 4)]
+            jets = calls[1][4]
+            assert jets[:4] == [[], [], [], []]
+            assert jets[4] == real_jets(c, q, 4)[4]
+    c = _curve("x1^2*x2^3 - x0^5")  # a degree-5 form: jets 4 and 5 alone
+    p = ProjectivePoint((0, 0, 1))
+    full = real_jets(c, p, 5)
+    assert real_jets(c, p, 5, 4) == [[], [], [], [], full[4], full[5]]
 
 
 @pytest.mark.parametrize(

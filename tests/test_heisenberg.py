@@ -111,6 +111,34 @@ def test_apply():
     assert iota().apply(P(1, 2, 3)) == P(1, 3, 2)
 
 
+def _same_point(q, want):
+    """q equals want field by field: the same normalized ints and hash."""
+    assert [(c.an, c.bn, c.den) for c in q.coords] == [(c.an, c.bn, c.den) for c in want.coords]
+    assert q == want and hash(q) == hash(want)
+
+
+_APPLY_POINTS = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, RHO), (1, 1, RHO2), (0, 1, -1),
+    (1, -RHO, 0), (Fraction(1, 2), 3, -1), (0, Fraction(-2, 3), 1 + RHO), (Fraction(5, 7) * RHO, 0, 4),
+]
+
+
+def test_apply_matches_the_object_path_on_the_group():
+    for g in enumerate_group():
+        for coords in _APPLY_POINTS:
+            _same_point(g.apply(coords), obstruction_oracle.apply(g, P(*coords)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_matrices, coords=st.tuples(_entries, _entries, _entries).filter(any))
+@example(m=[[0, 0, Fraction(1, 2)], [0, RHO, 0], [Fraction(3, 2), 0, 0]], coords=(0, 0, Fraction(1, 3)))
+def test_apply_matches_the_object_path_on_random_matrices(m, coords):
+    if not _cofactor_det(m):
+        return
+    g = ProjectiveTransform(m)
+    _same_point(g.apply(coords), obstruction_oracle.apply(g, P(*coords)))
+
+
 # ---------------------------------------------------------------------------
 # the group
 

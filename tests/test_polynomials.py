@@ -631,6 +631,33 @@ def test_bl2_sextic_shape():
     assert s.substitute(swap) == s
 
 
+def _bl2_sextic_oracle() -> MultiPoly:
+    """bl2_sextic() built by MultiPoly arithmetic, as the library built it
+    before it read the 10 terms from a table."""
+    y0, y1, y2 = (MultiPoly.variable(Y_VARS, n) for n in Y_VARS)
+    lam = LambdaPoly((ZERO, ONE))
+    two_lam3_minus = (lam**3).scale(EisensteinScalar(4)) - LambdaPoly((2,))
+    six_lam2 = (lam**2).scale(EisensteinScalar(6))
+    tail = (lam**4 - lam.scale(EisensteinScalar(4))).scale(EisensteinScalar(3))
+    p = y0**6 + y1**6 + y2**6
+    p = p + (y0**3 * y1**3 + y0**3 * y2**3 + y1**3 * y2**3).scale(two_lam3_minus)
+    p = p - (y0 * y1 * y2 * (y0**3 + y1**3 + y2**3)).scale(six_lam2)
+    p = p - (y0**2 * y1**2 * y2**2).scale(tail)
+    return p
+
+
+def test_bl2_sextic_matches_its_arithmetic_construction():
+    got, want = bl2_sextic(), _bl2_sextic_oracle()
+    assert got == want and got.vars == want.vars == Y_VARS
+    # term for term, in the same order, with the same normalized scalars
+    fields = lambda p: [(e, [(c.an, c.bn, c.den) for c in f.coeffs]) for e, f in p.terms.items()]
+    assert fields(got) == fields(want)
+    assert len(got.terms) == 10
+    assert all(type(f) is LambdaPoly and type(f.coeffs) is tuple for f in got.terms.values())
+    # a fresh polynomial on every call
+    assert bl2_sextic().terms is not got.terms
+
+
 def test_bl2_sextic_specializations_differ():
     s = bl2_sextic()
     assert s.specialize_lambda(ZERO) != s.specialize_lambda(ONE)

@@ -480,3 +480,51 @@ def test_solve_finds_the_roots_sympy_finds(c, linear, root_free, power):
         deflated = _zrho._deflate(deflated, root)[0]
     assert rest == deflated
     assert len(rest) - 1 == ((len(root_free) - 1) * power if root_free else 0)
+
+
+# ---------------------------------------------------------------------------
+# form_value against LambdaPoly arithmetic
+
+_exponents = st.tuples(*[st.integers(0, 6)] * 3).filter(lambda e: sum(e) <= 6)
+# a coordinate: a polynomial in lambda, zero ([] or [(0, 0)]) now and then,
+# trailing zeros allowed
+_coordinates = st.one_of(st.just([]), st.just([(0, 0)]), st.lists(_pairs, min_size=1, max_size=3))
+
+
+@st.composite
+def _lambda_forms(draw):
+    """Forms of degree <= 6 whose coefficients (equal lists, not shared
+    ones) repeat, drawn from a pool of at most three."""
+    pool = draw(st.lists(_nonzero_polys, min_size=1, max_size=3))
+    exponents = draw(st.lists(_exponents, max_size=10, unique=True))
+    return {e: list(draw(st.sampled_from(pool))) for e in exponents}
+
+
+def _form_value_oracle(form, point):
+    ys = [_lambda_poly(_trim(y)) for y in point]
+    out = LambdaPoly(())
+    for e, c in form.items():
+        t = _lambda_poly(c)
+        for y, k in zip(ys, e):
+            t = t * y**k
+        out = out + t
+    return _from_lambda_poly(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lambda_forms(), st.tuples(_coordinates, _coordinates, _coordinates))
+def test_form_value_matches_lambda_poly_arithmetic(form, point):
+    assert _zrho.form_value(form, list(point)) == _form_value_oracle(form, point)
+
+
+def test_form_value_edge_cases():
+    one, lam = [(1, 0)], [(0, 0), (1, 0)]
+    assert _zrho.form_value({}, [lam, lam, lam]) == []
+    # the constant term contributes its coefficient alone
+    assert _zrho.form_value({(0, 0, 0): [(2, 3)]}, [[], [], []]) == [(2, 3)]
+    # x0^2 + x1^2 - 2*x2^2 with x = (lambda, 1, 1): the shared coefficient 1
+    form = {(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): [(-2, 0)]}
+    assert _zrho.form_value(form, [lam, one, one]) == [(-1, 0), (0, 0), (1, 0)]
+    # the terms cancel at x = (1, 1, 1)
+    assert _zrho.form_value(form, [one, one, one]) == []
+
