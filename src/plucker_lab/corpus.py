@@ -26,8 +26,9 @@ from .polynomials import X_VARS, MultiPoly, bl2_sextic, parse_scalar, render_pol
 from .curve import (
     KIND_CUSP,
     PlaneCurve,
-    classified_singularities,
+    classify_singularity,
     pluecker_counts,
+    singular_locus,
 )
 from .pluecker import dual_invariants, solve_nodes_cusps
 from .chow import (
@@ -35,7 +36,7 @@ from .chow import (
     multiplicity_bound,
     pencil_singular_count,
 )
-from .heisenberg import ORDER3_ORBIT_REPRESENTATIVES, curve_orbit_obstruction, lambda_form
+from .heisenberg import ORDER3_ORBIT_REPRESENTATIVES, TRANSLATIONS, curve_orbit_obstruction, fixes, images, lambda_form
 
 
 CURVES = {
@@ -177,7 +178,10 @@ _EXCLUDED_LAMBDAS = (ONE, RHO, RHO * RHO)
 def _family():
     """bl2_sextic() and its lambda_form, built once per process, read only."""
     sextic = bl2_sextic()
-    return sextic, lambda_form(sextic)
+    form = lambda_form(sextic)
+    if not all(fixes(form[0], g) for g in TRANSLATIONS):
+        raise RuntimeError("the 9 translations sigma^i * tau^j must fix the sextic family")
+    return sextic, form
 
 
 def _special_sextic(lam: EisensteinScalar) -> PlaneCurve:
@@ -222,7 +226,9 @@ def run_special_case(lambda_value) -> ScenarioReport:
     process), specializes the sextic at lambda_value and classifies its
     singular locus, then cross-checks the numbers: (d, nu, kappa) =
     (6, 0, 9) gives class 3 and genus 1, and the pencil count 18 matches
-    3*3 + 9*1.
+    3*3 + 9*1.  The translations fix the family (_family checks it) and so
+    keep the type of a singular point: one point per translation orbit is
+    classified, the others get its record moved; a missing translate raises.
     """
     lam = _coerce_lambda(lambda_value)
     if any(lam == bad for bad in _EXCLUDED_LAMBDAS):
@@ -252,7 +258,16 @@ def run_special_case(lambda_value) -> ScenarioReport:
     report.computed["sextic"] = render_poly(sextic.equation)
     report.computed["sextic_degree"] = sextic.degree
 
-    records, locus = classified_singularities(sextic)
+    locus = singular_locus(sextic)
+    records = dict.fromkeys(locus.points)
+    for p in locus.points:
+        if records[p] is None:
+            record = classify_singularity(sextic, p)
+            for q in images(p, TRANSLATIONS):
+                if q not in records:
+                    raise RuntimeError("the translate %s of the singular point %s is not in the locus" % (q, p))
+                records[q] = record._replace(point=q)
+    records = tuple(records.values())
     cusps = sum(1 for r in records if r.kind == KIND_CUSP)
     report.computed["singularities"] = [r.as_dict() for r in records]
     report.computed["singular_locus_complete"] = locus.complete

@@ -2,13 +2,13 @@
 
 The group is generated by the coordinate cycle sigma, the diagonal tau of
 cube roots of unity, and the coordinate swap iota.  Its projective image
-has 18 elements.  The module enumerates the group, computes point orbits
-(by closure under the three generators, without the group), builds the
-fixed locus (9 lines, 9 points, 12 triple points), and runs the orbit
+has 18 elements, the monomial maps of MONOMIALS.  From that table the
+module enumerates the group, computes point orbits on Z[rho] int pairs
+(without the group) and tests whether an element fixes a curve.  It builds
+the fixed locus (9 lines, 9 points, 12 triple points), and runs the orbit
 exclusion test: for a curve family c(lambda) and each orbit of size 3, the
 lambda values for which the whole orbit lies on the curve are the common
-roots of one obstruction polynomial.  The test runs on Z[rho] int pairs
-(_zrho), with lambda symbolic.
+roots of one obstruction polynomial, on int pairs with lambda symbolic.
 """
 
 import functools
@@ -167,38 +167,27 @@ def iota() -> ProjectiveTransform:
     return ProjectiveTransform(((ONE, ZERO, ZERO), (ZERO, ZERO, ONE), (ZERO, ONE, ZERO)))
 
 
-@functools.cache
-def _generators() -> tuple:
-    return sigma(), tau(), iota()
-
-
-def _closure(start, step) -> set:
-    """The smallest set holding start and closed under step(x, g) for
-    each generator g of sigma, tau and iota."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        grown = []
-        for x in frontier:
-            for g in _generators():
-                y = step(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    grown.append(y)
-        frontier = grown
-    return seen
+# sigma^i * tau^j * iota^k as the monomial map (perm, exps) taking x to y,
+# y_r = rho^exps[r] * x_perm[r]: perm[r] = +-(r + i), the sign - for k = 1,
+# and exps[r] = j*(r + i), mod 3.  The 9 translations (k = 0) come first.
+MONOMIALS = tuple(
+    (tuple(s * (r + i) % 3 for r in range(3)), tuple(j * (r + i) % 3 for r in range(3)))
+    for s in (1, -1) for i in range(3) for j in range(3)
+)
+TRANSLATIONS = MONOMIALS[:9]
 
 
 @functools.cache
 def _group() -> tuple:
-    seen = _closure(ProjectiveTransform.identity(), ProjectiveTransform.__mul__)
-    return tuple(sorted(seen, key=ProjectiveTransform.sort_key))
+    units = (ONE, RHO, RHO * RHO)
+    rows = ([[units[e] if c == k else ZERO for c in range(3)] for k, e in zip(*g)] for g in MONOMIALS)
+    return tuple(sorted(map(ProjectiveTransform, rows), key=ProjectiveTransform.sort_key))
 
 
 def enumerate_group():
     """All distinct transforms generated by sigma, tau and iota, in a fixed
-    deterministic order (computed once per process, a fresh list on every
-    call).  The projective closure has exactly 18 elements: sigma and tau
+    deterministic order (built once per process from MONOMIALS, a fresh
+    list on every call).  The group has exactly 18 elements: sigma and tau
     generate a (Z/3)^2 that iota normalizes."""
     return list(_group())
 
@@ -219,14 +208,36 @@ class Orbit(NamedTuple):
         return {"size": self.size, "points": [str(p) for p in self.points]}
 
 
-def orbit(p) -> Orbit:
-    """The orbit of p: its closure under sigma, tau and iota.  The group
-    is finite, so each inverse is a power of its element and the closure
-    is {g(p) : g in enumerate_group()}, found without building the group."""
+def images(p, elements) -> list:
+    """The distinct images of p under the monomial maps elements, unsorted:
+    on p's cleared int pairs times 1, rho and rho^2, each divided once by
+    its first nonzero entry, as ProjectiveTransform.apply does.  Two images
+    of one point differ by a factor of norm 1 (each permutes p's coordinates
+    up to units), so they give the same pairs; only distinct ones become points."""
     if not isinstance(p, ProjectivePoint):
         p = ProjectivePoint(p)
-    pts = _closure(p, lambda q, g: g.apply(q))
-    return Orbit(tuple(sorted(pts, key=ProjectivePoint.sort_key)))
+    units = [((a, b), (-b, a - b), (b - a, -a)) for a, b in _zrho.clear(p.coords)[0]]
+    seen = {}
+    for perm, exps in elements:
+        y = [units[k][e] for k, e in zip(perm, exps)]
+        a, b = next(v for v in y if v != (0, 0))
+        seen[tuple(_zrho.mul(v, (a - b, -b)) for v in y)] = _zrho.norm((a, b))
+    return [ProjectivePoint._raw(tuple(EisensteinScalar._raw(a, b, n) for a, b in v)) for v, n in seen.items()]
+
+
+def orbit(p) -> Orbit:
+    """The orbit of p: its images under the 18 group elements, without the group."""
+    return Orbit(tuple(sorted(images(p, MONOMIALS), key=ProjectivePoint.sort_key)))
+
+
+def fixes(form, g) -> bool:
+    """Whether the monomial map g = (perm, exps) fixes the curve of form
+    (exponent -> coefficient, as lambda_form gives it) up to a power of rho,
+    by a sufficient test: x^e at g(x) is rho^(e . exps) * x^e', e'[perm[r]]
+    = e[r]; each e' carries the coefficient of e, and e . exps is one value mod 3."""
+    perm, exps = g
+    return len({sum(n * w for n, w in zip(e, exps)) % 3 for e in form}) < 2 and all(
+        form.get(tuple(e[perm.index(k)] for k in range(3))) == f for e, f in form.items())
 
 
 class FixedLocus(NamedTuple):

@@ -1,5 +1,6 @@
 """The orbit obstruction on MultiPoly and LambdaPoly objects: the oracle of
-heisenberg.curve_orbit_obstruction and heisenberg.orbit.
+heisenberg.curve_orbit_obstruction and heisenberg.orbit; and the closure
+under the three generators, the oracle of the group and of its orbits.
 
 This is the path the library ran before it moved onto Z[rho] int pairs:
 an orbit is the image of the point under every element of
@@ -10,7 +11,7 @@ the orbit.  Both must agree with the library exactly (==).
 """
 
 from plucker_lab.curve import ProjectivePoint, dot
-from plucker_lab.heisenberg import ORDER3_ORBIT_REPRESENTATIVES, Orbit, enumerate_group
+from plucker_lab.heisenberg import ORDER3_ORBIT_REPRESENTATIVES, Orbit, enumerate_group, iota, sigma, tau
 from plucker_lab.polynomials import MultiPoly, quadratic_map
 from plucker_lab.scalars import LambdaPoly
 
@@ -27,6 +28,26 @@ def orbit(p) -> Orbit:
         p = ProjectivePoint(p)
     pts = {apply(g, p) for g in enumerate_group()}
     return Orbit(tuple(sorted(pts, key=ProjectivePoint.sort_key)))
+
+
+def closure(start, step) -> set:
+    """The smallest set holding start and closed under step(x, g) for
+    each generator g of sigma, tau and iota.  The group is finite, so each
+    inverse is a power of its element: closure(identity, *) is the group,
+    and closure(p, g.apply) the orbit of p."""
+    generators = sigma(), tau(), iota()
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for g in generators:
+                y = step(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    grown.append(y)
+        frontier = grown
+    return seen
 
 
 def curve_orbit_obstruction(c: MultiPoly, use_quadratic_map: bool = False) -> dict:

@@ -1,15 +1,17 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from plucker_lab import _zrho, corpus
-from plucker_lab.curve import PlaneCurve
-from plucker_lab.heisenberg import curve_orbit_obstruction
-from plucker_lab.scalars import RHO, EisensteinScalar, LambdaPoly, RootSearch, scalar_sort_key
-from plucker_lab.polynomials import bl2_sextic, parse_scalar
+from plucker_lab import _zrho, corpus, scalars
+from plucker_lab.curve import PlaneCurve, SingularityRecord, classify_singularity, singular_locus
+from plucker_lab.heisenberg import TRANSLATIONS, curve_orbit_obstruction, images
+from plucker_lab.scalars import ONE, RHO, EisensteinScalar, LambdaPoly, RootSearch
+from plucker_lab.polynomials import MultiPoly, bl2_sextic, parse_scalar
 from plucker_lab.corpus import (
     CURVES,
     ScenarioReport,
@@ -22,6 +24,7 @@ from plucker_lab.corpus import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +173,22 @@ def test_special_case_resolves_all_cusps_at_four_minus_four_rho():
 
 
 def admissible_lambdas():
-    """The 128 admissible lambdas: rationals of height <= 9 and a + b*rho
-    with |a|, |b| <= 2, without 1, rho and rho^2."""
-    values = {EisensteinScalar(Fraction(p, q)) for p in range(-9, 10) for q in range(1, 10)}
-    values |= {EisensteinScalar(a, b) for a in range(-2, 3) for b in range(-2, 3)}
-    return sorted(values - {EisensteinScalar(1), RHO, RHO * RHO}, key=scalar_sort_key)
+    """The 128 admissible lambdas of perfbench's special-sweep, which is
+    only read here: rationals of height <= 9 and a + b*rho with |a|, |b|
+    <= 2, without 1, rho and rho^2."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [parse_scalar(t) for t in workloads.admissible_lambdas(SimpleNamespace(scalars=scalars))]
+
+
+def _per_point_records(lam):
+    """The special sextic's singular locus and each point's own record."""
+    sextic = PlaneCurve(bl2_sextic().specialize_lambda(lam))
+    locus = singular_locus(sextic)
+    return locus, [classify_singularity(sextic, p).as_dict() for p in locus.points]
 
 
 def test_special_case_sweeps_every_admissible_lambda():
@@ -186,6 +200,41 @@ def test_special_case_sweeps_every_admissible_lambda():
         assert report.computed["singular_locus_complete"] is True, lam
         points = report.computed["singularities"]
         assert [s["ade"] for s in points] == ["A2"] * 9, lam
+        # one record per translation orbit, copied with its point moved,
+        # is the record each point gets on its own; the orbit is the locus
+        locus, want = _per_point_records(lam)
+        assert points == want, lam
+        assert sorted(images(locus.points[0], TRANSLATIONS), key=lambda p: p.sort_key()) == list(locus.points)
+
+
+def test_a_record_copied_without_moving_its_point_is_caught(monkeypatch):
+    monkeypatch.setattr(SingularityRecord, "_replace", lambda self, **kw: self)
+    got = run_special_case(2).computed["singularities"]
+    assert got != _per_point_records(EisensteinScalar(2))[1]
+    assert len({tuple(s["point"]) for s in got}) == 1
+
+
+def test_a_translate_missing_from_the_locus_raises(monkeypatch):
+    def short(c):
+        locus = singular_locus(c)
+        return locus._replace(points=locus.points[:-1])
+
+    monkeypatch.setattr(corpus, "singular_locus", short)
+    with pytest.raises(RuntimeError, match="translate .* is not in the locus"):
+        run_special_case(2)
+
+
+def test_a_family_the_translations_do_not_fix_is_refused(monkeypatch):
+    # a perturbed coefficient: sigma moves y0^3*y1^3 onto a term with another one
+    sextic = bl2_sextic()
+    perturbed = MultiPoly(sextic.vars, {**sextic.terms, (3, 3, 0): LambdaPoly((ONE,))})
+    monkeypatch.setattr(corpus, "bl2_sextic", lambda: perturbed)
+    corpus._family.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="translations"):
+            run_special_case(2)
+    finally:
+        corpus._family.cache_clear()
 
 
 def _fields(c):

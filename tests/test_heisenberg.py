@@ -17,12 +17,17 @@ from plucker_lab.polynomials import (
 )
 from plucker_lab.curve import ProjectivePoint, det3
 from plucker_lab.heisenberg import (
+    MONOMIALS,
     ORDER3_ORBIT_REPRESENTATIVES,
+    TRANSLATIONS,
     ProjectiveTransform,
     curve_orbit_obstruction,
     enumerate_group,
     fixed_locus,
+    fixes,
+    images,
     iota,
+    lambda_form,
     orbit,
     sigma,
     tau,
@@ -173,6 +178,21 @@ def test_group_enumeration_is_deterministic():
     assert first == second
 
 
+def test_group_is_the_closure_of_the_generators():
+    closed = obstruction_oracle.closure(ProjectiveTransform.identity(), ProjectiveTransform.__mul__)
+    assert enumerate_group() == sorted(closed, key=ProjectiveTransform.sort_key)
+
+
+def test_the_first_nine_monomials_are_the_translations():
+    # (1 : 2 : 3) has a trivial stabilizer, so its images name the elements
+    p = P(1, 2, 3)
+    s, t = sigma(), tau()
+    one = ProjectiveTransform.identity()
+    want = {(a * b).apply(p) for a in (one, s, s * s) for b in (one, t, t * t)}
+    assert set(images(p, TRANSLATIONS)) == want
+    assert len(images(p, MONOMIALS)) == 18
+
+
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -285,6 +305,38 @@ def test_composed_sextic_is_invariant():
         assert proportional(g.act_on_poly(c), c)
 
 
+def test_sextic_is_invariant_in_its_own_variables():
+    c = bl2_sextic()
+    assert c.vars == ("y0", "y1", "y2")
+    for g in enumerate_group():
+        assert proportional(g.act_on_poly(c), c)
+
+
+def _transform(g) -> ProjectiveTransform:
+    """The monomial map g = (perm, exps) as a matrix: row r has rho^exps[r] at column perm[r]."""
+    perm, exps = g
+    units = (ONE, RHO, RHO2)
+    return ProjectiveTransform([[units[e] if c == k else ZERO for c in range(3)] for k, e in zip(perm, exps)])
+
+
+WRONG_TAU = ((0, 1, 2), (0, 1, 1))  # diag(1, rho, rho)
+
+
+def test_fixes_agrees_with_act_on_poly_and_rejects_mutants():
+    c = bl2_sextic()
+    # a perturbed coefficient: sigma moves y0^3*y1^3 onto a term with another one
+    perturbed = MultiPoly(c.vars, {**c.terms, (3, 3, 0): LambdaPoly((ONE,))})
+    assert {_transform(g) for g in MONOMIALS} == set(enumerate_group())
+    for curve in (c, perturbed):
+        form = lambda_form(curve)[0]
+        for g in MONOMIALS + (WRONG_TAU,):
+            assert fixes(form, g) == proportional(_transform(g).act_on_poly(curve), curve), (curve, g)
+    form = lambda_form(c)[0]
+    assert all(fixes(form, g) for g in MONOMIALS)
+    assert not fixes(form, WRONG_TAU)
+    assert not fixes(lambda_form(perturbed)[0], TRANSLATIONS[3])  # sigma
+
+
 # ---------------------------------------------------------------------------
 # orbit obstructions
 
@@ -358,10 +410,24 @@ def test_obstructions_match_the_object_path(c, use_quadratic_map):
     )
 
 
+# orbits of points with a zero coordinate, and their sizes
+_ZERO_COORDINATE_ORBITS = {(0, 1, 0): 3, (0, 1, -1): 9, (1, -RHO, 0): 9, (0, 1, 2): 18, (Fraction(2, 3), 0, RHO): 18}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_points, st.sampled_from([(1, 1, RHO), (0, 1, -1), (1, 2, RHO), (Fraction(1, 2), 3, -1)])))
 def test_orbit_closure_matches_the_group_images(coords):
     assert orbit(P(*coords)) == obstruction_oracle.orbit(P(*coords))
+
+
+def test_orbits_with_zero_coordinates_match_the_closure():
+    for coords, size in _ZERO_COORDINATE_ORBITS.items():
+        got = orbit(P(*coords))
+        assert got.size == size
+        assert got == obstruction_oracle.orbit(P(*coords))
+        assert set(got.points) == obstruction_oracle.closure(P(*coords), lambda q, g: g.apply(q))
+        for q, want in zip(got.points, obstruction_oracle.orbit(P(*coords)).points):
+            _same_point(q, want)
 
 
 def test_orbits_and_obstructions_never_build_the_group(monkeypatch):
