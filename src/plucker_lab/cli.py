@@ -95,7 +95,7 @@ def _parse(args, default_vars):
     of --vars or else default_vars."""
     variables = default_vars
     if args.vars:
-        variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+        variables = tuple(v.strip() for v in args.vars.split(","))
         if len(variables) != 3:
             raise UsageError("--vars needs 3 comma-separated names, got %r" % args.vars)
     text = args.poly
@@ -351,12 +351,7 @@ def _cmd_chow_report(args) -> int:
 
 
 def _cmd_scenario_special(args) -> int:
-    if args.lam is None:
-        raise UsageError("scenario special needs --lambda <rational>")
-    try:
-        report = run_special_case(args.lam)
-    except ValueError as e:
-        raise UsageError(str(e))
+    report = run_special_case(args.lam)  # main reports a ValueError as a usage error
     _emit(args, report.as_dict(), report_as_text(report))
     return 0 if report.passed else 1
 
@@ -441,19 +436,26 @@ def _add_commands(group: str, sub) -> None:
 
 
 class _Group(argparse.ArgumentParser):
-    """A command group, whose subcommands are added when it first parses."""
+    """A command group, whose subcommands are added on first use."""
+
+    group, commands = None, {}
+
+    def command(self, name):
+        """The parser of subcommand name, or None if the group has none."""
+        if self.group:
+            _add_commands(self.group, sub := self.add_subparsers(dest="subcommand", required=True))
+            self.group, self.commands = None, sub.choices
+        return self.commands.get(name)
 
     def parse_known_args(self, args=None, namespace=None):
-        if getattr(self, "group", None):
-            _add_commands(self.group, self.add_subparsers(dest="subcommand", required=True))
-            self.group = None
+        self.command(None)
         return super().parse_known_args(args, namespace)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and reused by main (parse_args
-    keeps no state); a command group adds its subcommands when first used."""
+    keeps no state), with its command groups by name in .groups."""
     ap = argparse.ArgumentParser(
         prog="plucker-lab",
         description="exact plane-curve invariants, projective symmetries and branch-curve arithmetic",
@@ -464,18 +466,25 @@ def build_parser() -> argparse.ArgumentParser:
                         ("heisenberg", "projective symmetry group"), ("chow", "intersection-ring numerology"),
                         ("scenario", "end-to-end scenario runners")):
         sub.add_parser(group, help=text).group = group
+    ap.groups = sub.choices
     return ap
 
 
 def main(argv=None) -> int:
+    """Run argv (default sys.argv[1:]); the exit status.  `<group> <command>`
+    goes to the command's parser alone, any other argv through the tree."""
     ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = len(argv) > 1 and argv[0] in ap.groups and ap.groups[argv[0]].command(argv[1])
+    if command:
+        args, extra = command.parse_known_args(argv[2:], argparse.Namespace(command=argv[0], subcommand=argv[1]))
+        if extra:
+            ap.error("unrecognized arguments: %s" % " ".join(extra))
+    else:
+        args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:  # a PolyParseError names its offset
+    except (UsageError, ValueError, KeyError) as e:  # a PolyParseError names its offset
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RuntimeError as e:

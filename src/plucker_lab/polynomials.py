@@ -30,6 +30,7 @@ from .scalars import (
 )
 
 _RESERVED = ("rho", "lambda")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # a name as the tokenizer reads it
 
 
 class PolyParseError(ValueError):
@@ -42,12 +43,14 @@ class PolyParseError(ValueError):
 
 
 def _check_variables(variables) -> tuple:
-    """The variable names as a tuple; ValueError if one is reserved or
-    two are equal."""
+    """The variable names as a tuple; ValueError if one is reserved, is
+    not a name the parser can read, or two are equal."""
     variables = tuple(variables)
     for v in variables:
         if v in _RESERVED:
             raise ValueError("variable name %r is reserved" % v)
+        if not re.fullmatch(_NAME, v):
+            raise ValueError("variable name %r does not match %s" % (v, _NAME))
     if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable names")
     return variables
@@ -417,7 +420,7 @@ class MultiPoly:
 # Parsing
 
 # a token, or the first character that cannot start one
-_TOKEN_RE = re.compile(r"\s*(?:(\d+|[A-Za-z_][A-Za-z0-9_]*|[\^+\-*/()])|(\S))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+|%s|[\^+\-*/()])|(\S))" % _NAME)
 
 
 class _Parser:
@@ -509,7 +512,7 @@ class _Parser:
             return {self.zero: RHO}
         if tok in self.units:
             return {self.units[tok]: ONE}
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if re.fullmatch(_NAME, tok):
             raise PolyParseError("unknown variable %r" % tok, pos)
         raise PolyParseError("syntax error", pos)
 
@@ -520,8 +523,8 @@ def parse_poly(text: str, variables) -> MultiPoly:
     Grammar: integers, `/` for rational constants, `rho`, `lambda`,
     declared variable names, `+ - * ^` and parentheses; whitespace is
     insignificant.  Raises PolyParseError with a character offset, and
-    ValueError, as MultiPoly does, for a reserved or repeated variable
-    name.
+    ValueError, as MultiPoly does, for a reserved, unreadable or repeated
+    variable name.
     """
     parser = _Parser(text, variables)
     terms = {}

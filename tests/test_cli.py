@@ -22,6 +22,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _outcome(capsys, call, argv):
+    """(exit status, stdout, stderr) of call(argv), a SystemExit included."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code,) + tuple(capsys.readouterr())
+
+
 # ---------------------------------------------------------------------------
 # parser basics
 
@@ -45,18 +54,10 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
             ["chow", "report", "--d", "3"],  # --out must not carry over
         ]
 
-    def outcome(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    reused = [outcome(argv) for argv in calls(tmp_path / "reused.txt")]
+    reused = [_outcome(capsys, main, argv) for argv in calls(tmp_path / "reused.txt")]
     # the same calls, each through a parser built afresh
     monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
-    fresh = [outcome(argv) for argv in calls(tmp_path / "fresh.txt")]
+    fresh = [_outcome(capsys, main, argv) for argv in calls(tmp_path / "fresh.txt")]
     assert reused == fresh
     assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0, 0, 0]
     assert "--d" in reused[0][2] and reused[1][1].startswith("plucker-lab ")
@@ -139,6 +140,56 @@ def test_a_call_builds_only_the_group_it_names(capsys, monkeypatch):
     built.clear()
     _fully_built_parser()
     assert len(built) == 1 + len(GROUPS) + sum(map(len, GROUPS.values())) == 18
+
+
+def _nested_main(argv):
+    """main with argv parsed by the whole tree, top parser first."""
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+REQUIRED = {("plucker", "solve"): ["--g", "1", "--m", "6"], ("plucker", "dual"): ["--d", "4"],
+            ("chow", "report"): [], ("scenario", "special"): []}
+
+
+def test_a_subcommand_parses_as_the_whole_tree_would(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for group, subs in GROUPS.items():
+        for name in subs:
+            tails = [["--help"], ["--bogus"], ["--version"]]
+            if (group, name) in REQUIRED:
+                tails.append(REQUIRED[group, name])
+            if group == "curve":
+                tails += [["--", "-x0^2 + x1*x2"], ["--", "-x0^2 + x1*x2", "--format"]]
+            for argv in ([group, name] + tail for tail in tails):
+                direct = _outcome(capsys, main, argv)
+                assert direct == _outcome(capsys, _nested_main, argv), argv
+                assert direct[0] in (0, 2) and (direct[0] == 0) == (direct[2] == ""), argv
+
+
+def test_a_subcommand_call_enters_one_parser(capsys, monkeypatch):
+    entered = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, args=None, namespace=None):
+        entered.append(self)
+        return real(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(["curve", "analyze", CUSPIDAL]) == 0
+    assert main(["scenario", "special", "--lambda=2"]) == 0
+    assert [p.prog for p in entered] == ["plucker-lab curve analyze", "plucker-lab scenario special"]
+    direct = entered[0]
+    entered.clear()
+    build_parser().parse_args(["curve", "analyze", CUSPIDAL])
+    assert entered[-1] is direct  # the parser the whole tree reaches
+    for argv, parsers in ((["--help"], ["plucker-lab"]), (["bogus"], ["plucker-lab"]),
+                          (["curve", "bogus"], ["plucker-lab", "plucker-lab curve"])):
+        entered.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert [p.prog for p in entered] == parsers
+    capsys.readouterr()
 
 
 def test_version_flag(capsys):
@@ -357,6 +408,10 @@ def test_polynomial_usage_errors(command, tmp_path, capsys):
         (["--vars", "a,a,c", "--", "a*c - a^2"], "duplicate variable names"),
         (["--vars", "rho,b,c", "--", "b*c - rho^2"], "variable name 'rho' is reserved"),
         (["--vars", "a,lambda,c", "--", "a*c"], "variable name 'lambda' is reserved"),
+        (["--vars", "x,y,2", "--", "x^2 + y^2 + 2^2"], "variable name '2' does not match [A-Za-z_][A-Za-z0-9_]*"),
+        (["--vars", "a,,c", "--", "a*c"], "variable name '' does not match"),
+        (["--vars", ",a,b,c", "--", "a*b*c"], "--vars needs 3 comma-separated names, got ',a,b,c'"),
+        (["--vars", "a,b,c,", "--", "a*b*c"], "--vars needs 3 comma-separated names, got 'a,b,c,'"),
     ]:
         code, out, err = run(capsys, command + argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and message in err

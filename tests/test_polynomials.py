@@ -160,6 +160,8 @@ def test_reserved_variable_names_rejected():
         (("a", "a", "c"), "duplicate variable names"),
         (("rho", "b", "c"), "variable name 'rho' is reserved"),
         (("x", "lambda"), "variable name 'lambda' is reserved"),
+        (("x", "y", "2"), "variable name '2' does not match [A-Za-z_][A-Za-z0-9_]*"),
+        (("x", "y z"), "variable name 'y z' does not match [A-Za-z_][A-Za-z0-9_]*"),
     ],
 )
 def test_parse_poly_checks_variable_names_as_multipoly_does(variables, message):
